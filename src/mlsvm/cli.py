@@ -71,7 +71,6 @@ def _add_method_flags(p):
                    help="level-0 cluster-mode combination rule")
     p.add_argument("--kkt-tol", type=float, default=None)
     p.add_argument("--cache-mb", type=int, default=None, help="kernel cache budget")
-    p.add_argument("--no-shrinking", action="store_true")
 
 
 def _add_imputer_flags(p):
@@ -223,8 +222,6 @@ def _solver_config(args) -> SolverConfig:
         kwargs["kkt_tolerance"] = args.kkt_tol
     if args.cache_mb is not None:
         kwargs["cache_bytes"] = args.cache_mb * 1024 * 1024
-    if args.no_shrinking:
-        kwargs["shrinking"] = False
     return SolverConfig(**kwargs)
 
 
@@ -396,8 +393,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
-            tokens = _config_tokens(cfg_path)
+            at = argv.index("--config") + 1
+            if at >= len(argv):
+                raise UsageError("--config needs a path")
+            tokens = _config_tokens(argv[at])
             head = argv[:1]
             argv = head + tokens + argv[1:]
         args = parser.parse_args(argv)

@@ -25,7 +25,6 @@ _RESELECT_THRESHOLD = 0.1   # refresh ridge choices while imputations still move
 class RemConfig:
     max_iters: int = 50
     stagnation_tol: float = 1e-2
-    regression: str = "ridge"
     cv_folds: int = 5
     cv_error_norm: int = 2
     regularization: float | None = None   # None = choose per pattern by CV
@@ -38,9 +37,6 @@ class RemConfig:
             raise ValueError("stagnation_tol must be positive")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
-        if self.regression != "ridge":
-            raise ValueError("unsupported regression %r (only 'ridge' is implemented)"
-                             % self.regression)
 
 
 @dataclass

@@ -1,10 +1,9 @@
 """Soft-margin and class-weighted SVM training in the dual, with an RBF kernel.
 
 The solver is sequential minimal optimization over the dual box/equality
-constraints: maximal-violating-pair working-set selection (optionally the
-second-order variant), an LRU kernel-row cache with a byte budget, and an
-optional shrinking heuristic with gradient reconstruction. Training is fully
-deterministic for fixed inputs and configuration.
+constraints: the maximal violator as the first working-set index, second-order
+selection of the second, and an LRU kernel-row cache with a byte budget.
+Training is fully deterministic for fixed inputs and configuration.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import numpy as np
 from mlsvm.data import BinaryView
 
 _TAU = 1e-12
+_MAX_ITERATIONS = 1_000_000   # SMO steps before giving up on the tolerance
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,7 @@ class ClassWeights:
 @dataclass(frozen=True)
 class SolverConfig:
     kkt_tolerance: float = 1e-3
-    max_passes: int = 1_000_000
     cache_bytes: int = 512 * 1024 * 1024
-    shrinking: bool = False
-    second_order: bool = True
 
     def __post_init__(self):
         if not self.kkt_tolerance > 0:
@@ -111,11 +108,7 @@ def _rbf_block(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _RowCache:
-    """LRU cache of full-length kernel rows, sliced per active set on fetch.
-
-    Full rows survive shrink/unshrink events, so the cache never needs
-    invalidating; eviction is pure LRU under the byte budget.
-    """
+    """LRU cache of kernel rows under a byte budget (0 disables caching)."""
 
     def __init__(self, x: np.ndarray, gamma: float, budget_bytes: int):
         self.x = x
@@ -125,7 +118,7 @@ class _RowCache:
         self.max_rows = max(2, int(budget_bytes // (8 * max(n, 1)))) if budget_bytes > 0 else 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
 
-    def row(self, i: int, active_idx: np.ndarray | None) -> np.ndarray:
+    def row(self, i: int) -> np.ndarray:
         r = self._rows.get(i) if self.max_rows else None
         if r is None:
             d2 = self.sq + self.sq[i] - 2.0 * (self.x @ self.x[i])
@@ -137,153 +130,83 @@ class _RowCache:
                     self._rows.popitem(last=False)
         elif self.max_rows:
             self._rows.move_to_end(i)
-        if active_idx is None:
-            return r
-        return r[active_idx]
+        return r
 
 
 def _smo_solve(x, y, caps, gamma, config: SolverConfig):
     """Minimize 0.5 a'Qa - e'a s.t. y'a = 0, 0 <= a <= caps (Q = yy' * K).
 
-    State is kept compacted over the active set: v = -(y * gradient) is
-    updated in place (v -= delta * (K_i - K_j), since y^2 = 1) and the up/low
-    memberships change only at the two touched coordinates per step.
+    v = -(y * gradient) is updated in place (v -= delta * (K_i - K_j), since
+    y^2 = 1) and the up/low memberships change only at the two touched
+    coordinates per step.
     """
     n = x.shape[0]
     tol = config.kkt_tolerance
-    alpha = np.zeros(n)
     cache = _RowCache(x, gamma, config.cache_bytes)
-    shrink_enabled = config.shrinking and n > 64
-    interval = min(n, 1000)
+    alpha = np.zeros(n)
+    v = y.copy()                    # -(y * grad) at alpha = 0 is y
+    up = y > 0
+    low = y < 0
+    sel = np.empty(n)
+    quad = np.empty(n)
+    cand = np.empty(n, dtype=bool)
 
-    idx = np.arange(n)              # active global indices
-    ya = y.astype(np.float64).copy()
-    aa = np.zeros(n)
-    ca = caps.astype(np.float64).copy()
-    v = ya.copy()                   # -(y * grad) at alpha = 0 is y
-    up = ya > 0
-    low = ya < 0
-
-    since_shrink = 0
-    it = 0
-    converged = False
-    sel_buf = np.empty(n)
-    quad_buf = np.empty(n)
-    mask_buf = np.empty(n, dtype=bool)
-
-    def flush_active():
-        alpha[idx] = aa
-
-    def rebuild_full():
-        """Write back alphas and recompute state over the whole problem."""
-        nonlocal idx, ya, aa, ca, v, up, low
-        flush_active()
-        idx = np.arange(n)
-        ya = y.astype(np.float64).copy()
-        aa = alpha.copy()
-        ca = caps.astype(np.float64).copy()
-        sv = np.flatnonzero(alpha > 0)
-        if sv.size:
-            f = _rbf_block(x, x[sv], gamma) @ (alpha[sv] * y[sv])
-        else:
-            f = np.zeros(n)
-        v = y - f
-        up = ((y > 0) & (alpha < caps)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < caps))
-
-    while it < config.max_passes:
-        sz = idx.size
-        sel = sel_buf[:sz]
+    for _ in range(_MAX_ITERATIONS):
         sel.fill(-np.inf)
         np.copyto(sel, v, where=up)
         ii = int(np.argmax(sel))
         m = sel[ii]
         M = float(np.min(v, initial=np.inf, where=low))
         if m - M <= tol:
-            if sz == n:
-                converged = True
-                break
-            rebuild_full()
-            shrink_enabled = False
-            continue
-        act = None if sz == n else idx
-        ki = cache.row(int(idx[ii]), act)
-        if config.second_order:
-            quad = quad_buf[:sz]
-            np.multiply(ki, -2.0, out=quad)
-            quad += 2.0
-            np.maximum(quad, _TAU, out=quad)
-            cand = mask_buf[:sz]
-            np.less(v, m, out=cand)
-            cand &= low
-            np.subtract(m, v, out=sel)
-            np.square(sel, out=sel)
-            sel /= quad
-            np.logical_not(cand, out=cand)
-            sel[cand] = -np.inf
-            jj = int(np.argmax(sel))
-        else:
-            sel.fill(np.inf)
-            np.copyto(sel, v, where=low)
-            jj = int(np.argmin(sel))
-        kj = cache.row(int(idx[jj]), act)
+            break
+        ki = cache.row(ii)
+        np.multiply(ki, -2.0, out=quad)
+        quad += 2.0
+        np.maximum(quad, _TAU, out=quad)
+        np.less(v, m, out=cand)
+        cand &= low
+        np.subtract(m, v, out=sel)
+        np.square(sel, out=sel)
+        sel /= quad
+        np.logical_not(cand, out=cand)
+        sel[cand] = -np.inf
+        jj = int(np.argmax(sel))
+        kj = cache.row(jj)
         a_quad = max(2.0 - 2.0 * ki[jj], _TAU)
         delta = (m - v[jj]) / a_quad
-        yi, yj = ya[ii], ya[jj]
-        bound_i = (ca[ii] - aa[ii]) if yi > 0 else aa[ii]
-        bound_j = aa[jj] if yj > 0 else (ca[jj] - aa[jj])
+        yi, yj = y[ii], y[jj]
+        bound_i = (caps[ii] - alpha[ii]) if yi > 0 else alpha[ii]
+        bound_j = alpha[jj] if yj > 0 else (caps[jj] - alpha[jj])
         delta = min(delta, bound_i, bound_j)
-        aa[ii] += yi * delta
-        aa[jj] -= yj * delta
+        alpha[ii] += yi * delta
+        alpha[jj] -= yj * delta
         # snap exactly onto the binding box face
         if delta == bound_i:
-            aa[ii] = ca[ii] if yi > 0 else 0.0
+            alpha[ii] = caps[ii] if yi > 0 else 0.0
         if delta == bound_j:
-            aa[jj] = 0.0 if yj > 0 else ca[jj]
-        work = quad_buf[:sz]
-        np.subtract(ki, kj, out=work)
-        work *= delta
-        v -= work
+            alpha[jj] = 0.0 if yj > 0 else caps[jj]
+        np.subtract(ki, kj, out=quad)
+        quad *= delta
+        v -= quad
         for t in (ii, jj):
-            pos = ya[t] > 0
-            up[t] = (pos and aa[t] < ca[t]) or (not pos and aa[t] > 0)
-            low[t] = (pos and aa[t] > 0) or (not pos and aa[t] < ca[t])
-        it += 1
-        since_shrink += 1
-        if shrink_enabled and since_shrink >= interval:
-            since_shrink = 0
-            free = (aa > 0) & (aa < ca)
-            keep = free | (up & (v > M)) | (low & (v < m))
-            if keep.sum() >= 2 and keep.sum() < idx.size:
-                flush_active()
-                idx = idx[keep]
-                ya = ya[keep]
-                aa = aa[keep]
-                ca = ca[keep]
-                v = v[keep]
-                up = up[keep]
-                low = low[keep]
-
-    if idx.size != n:
-        rebuild_full()
+            pos = y[t] > 0
+            up[t] = (pos and alpha[t] < caps[t]) or (not pos and alpha[t] > 0)
+            low[t] = (pos and alpha[t] > 0) or (not pos and alpha[t] < caps[t])
     else:
-        flush_active()
-    if not converged and it >= config.max_passes:
         warnings.warn("SMO hit the iteration cap (%d) before reaching tolerance"
-                      % config.max_passes)
-    v_full, up_f, low_f = v, up, low
+                      % _MAX_ITERATIONS)
     free = (alpha > 0) & (alpha < caps)
     if free.any():
-        bias = float(np.mean(v_full[free]))
+        bias = float(np.mean(v[free]))
     else:
-        hi = np.max(np.where(up_f, v_full, -np.inf))
-        lo = np.min(np.where(low_f, v_full, np.inf))
+        hi = np.max(np.where(up, v, -np.inf))
+        lo = np.min(np.where(low, v, np.inf))
         if not np.isfinite(hi):
             hi = lo
         if not np.isfinite(lo):
             lo = hi
         bias = float((hi + lo) / 2.0)
-    return alpha, bias, it
+    return alpha, bias
 
 
 def train_svm(view: BinaryView, weights: ClassWeights, kernel: KernelParams,
@@ -300,7 +223,7 @@ def train_svm(view: BinaryView, weights: ClassWeights, kernel: KernelParams,
     if (y > 0).all() or (y < 0).all():
         raise ValueError("training subset contains a single class")
     caps = np.where(y > 0, weights.c_plus, weights.c_minus)
-    alpha, bias, _ = _smo_solve(x, y, caps, kernel.gamma, config)
+    alpha, bias = _smo_solve(x, y, caps, kernel.gamma, config)
     sv = np.flatnonzero(alpha > 0)
     return SvmModel(
         sv_features=x[sv].copy(),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mlsvm.cli import main
+from mlsvm.cli import _solver_config, build_parser, main
 from mlsvm.data import inject_missing, load_dataset, write_dataset
 from mlsvm.imputation import mean_impute
+from mlsvm.svm import SolverConfig
 from mlsvm.synth import make_separable_blobs
 
 
@@ -182,6 +183,26 @@ class TestConfigFile:
         rc = main(["train", "--in", clean_csv, "--model",
                    str(tmp_path / "m.model"), "--config", str(cfg)])
         assert rc == 1
+
+    def test_config_without_path_is_usage_error(self, capsys):
+        assert main(["train", "--config"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
+class TestSolverFlags:
+    def test_flags_set_solver_config(self):
+        args = build_parser().parse_args(
+            ["train", "--in", "d.csv", "--model", "m.model",
+             "--kkt-tol", "0.01", "--cache-mb", "8"])
+        assert _solver_config(args) == SolverConfig(kkt_tolerance=0.01,
+                                                    cache_bytes=8 * 1024 * 1024)
+
+    def test_removed_solver_flag_is_usage_error(self, clean_csv, tmp_path,
+                                                capsys):
+        rc = main(["train", "--in", clean_csv, "--model",
+                   str(tmp_path / "m.model"), "--no-shrinking"])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -136,7 +136,3 @@ class TestRemImpute:
         cov = imp.covariance_
         assert np.array_equal(cov, cov.T)
         assert (np.diag(cov) >= 0).all()
-
-    def test_ttls_estimator_not_available(self):
-        with pytest.raises(ValueError, match="ridge"):
-            RemConfig(regression="truncated-total-least-squares")

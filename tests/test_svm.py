@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mlsvm.svm as svm_module
 from mlsvm.data import Dataset, binary_view
 from mlsvm.svm import (ClassWeights, KernelParams, SolverConfig, SvmModel,
                        decision_values, dual_objective, kkt_violation,
@@ -119,25 +120,26 @@ class TestModelInvariants:
         ds = dataset_from(x, y)
         view = binary_view(ds, 1)
         m1 = train_svm(view, ClassWeights(5.0, 5.0), KernelParams(0.5),
-                       SolverConfig(cache_bytes=0, shrinking=False))
+                       SolverConfig(cache_bytes=0))
         m2 = train_svm(view, ClassWeights(5.0, 5.0), KernelParams(0.5),
-                       SolverConfig(cache_bytes=1 << 20, shrinking=False))
+                       SolverConfig(cache_bytes=1 << 20))
         assert np.array_equal(m1.sv_alphas, m2.sv_alphas)
         assert m1.bias == m2.bias
 
-    def test_shrinking_reaches_same_tolerance(self):
+    def test_iteration_cap_warns_and_keeps_feasibility(self, monkeypatch):
+        monkeypatch.setattr(svm_module, "_MAX_ITERATIONS", 20)
         rng = np.random.default_rng(25)
         x = rng.normal(size=(300, 5))
         y = np.where(x[:, :2].sum(axis=1) > 0, 1.0, -1.0)
         ds = dataset_from(x, y)
         view = binary_view(ds, 1)
-        m_on = train_svm(view, ClassWeights(3.0, 3.0), KernelParams(0.5),
-                         SolverConfig(shrinking=True))
-        m_off = train_svm(view, ClassWeights(3.0, 3.0), KernelParams(0.5),
-                          SolverConfig(shrinking=False))
-        assert kkt_violation(m_on, view) <= 1e-3 + 1e-9
-        assert dual_objective(m_on) == pytest.approx(dual_objective(m_off),
-                                                     rel=1e-3, abs=1e-6)
+        with pytest.warns(UserWarning, match="iteration cap"):
+            model = train_svm(view, ClassWeights(3.0, 2.0), KernelParams(0.5))
+        caps = np.where(model.sv_labels > 0, 3.0, 2.0)
+        assert (model.sv_alphas > 0).all()
+        assert (model.sv_alphas <= caps).all()
+        assert model.sv_alphas @ model.sv_labels == pytest.approx(0.0, abs=1e-9)
+        assert kkt_violation(model, view) > 1e-3
 
     def test_single_class_rejected(self):
         ds = dataset_from([[0.0], [1.0]], [1, 1])
