@@ -21,7 +21,7 @@ from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, rem_impute
 from mlsvm.knn import KnnConfig
 from mlsvm.multilevel import (FrameworkConfig, load_any_model, predict_model,
                               save_any_model, train_multilevel)
-from mlsvm.svm import ClassWeights, KernelParams, SolverConfig, train_svm
+from mlsvm.svm import KernelParams, SolverConfig, class_weights, train_svm
 from mlsvm.ud import UdConfig, ud_search
 
 
@@ -79,7 +79,6 @@ def _add_imputer_flags(p):
     p.add_argument("--stagnation-tol", type=float, default=None)
     p.add_argument("--cv-folds", type=int, default=None,
                    help="CV folds for the imputer's ridge selection")
-    p.add_argument("--error-norm", type=int, default=None)
     p.add_argument("--regularization", default=None,
                    help="'auto' (per-record CV) or a fixed nonnegative value")
 
@@ -107,7 +106,6 @@ def build_parser() -> _Parser:
                    help="class mapped to +1 (default: smallest class)")
     p.add_argument("--report", default=None, help="per-level report path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -130,7 +128,6 @@ def build_parser() -> _Parser:
     p.add_argument("--normalize-scope", choices=("fold", "global"), default="fold")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_evaluate)
 
@@ -147,7 +144,6 @@ def build_parser() -> _Parser:
     p.add_argument("--name", default=None, help="dataset label in the table")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_benchmark)
     return parser
@@ -191,8 +187,6 @@ def _rem_config(args) -> RemConfig:
         kwargs["stagnation_tol"] = args.stagnation_tol
     if args.cv_folds is not None:
         kwargs["cv_folds"] = args.cv_folds
-    if args.error_norm is not None:
-        kwargs["cv_error_norm"] = args.error_norm
     if args.regularization is not None and args.regularization != "auto":
         kwargs["regularization"] = float(args.regularization)
     return RemConfig(**kwargs)
@@ -234,8 +228,8 @@ def _knn_config(args) -> KnnConfig:
     return KnnConfig(**kwargs)
 
 
-def _fw_config(args, seed: int, workers: int) -> FrameworkConfig:
-    kwargs = {"seed": seed, "workers": workers}
+def _fw_config(args) -> FrameworkConfig:
+    kwargs = {"seed": args.seed}
     if args.q is not None:
         kwargs["q"] = args.q
     if args.q_dt is not None:
@@ -296,15 +290,11 @@ def cmd_train(args) -> int:
     if args.method in ("svm", "wsvm"):
         weighted = args.method == "wsvm"
         if args.c_fixed is not None and args.gamma is not None:
-            if weighted:
-                weights = ClassWeights.inverse_size(
-                    args.c_fixed, view.rows_positive.size, view.rows_negative.size)
-            else:
-                weights = ClassWeights.uniform(args.c_fixed)
+            weights = class_weights(args.c_fixed, weighted, view.y())
             model = train_svm(view, weights, KernelParams(args.gamma), solver, rows)
         else:
             outcome = ud_search(view, rows, weighted, _ud_config(args), solver,
-                                seed=args.seed, workers=args.workers)
+                                seed=args.seed)
             model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                               solver, rows)
             report_text = "".join("%.17g\t%.17g\t%.6f\n" % t for t in outcome.trace)
@@ -315,7 +305,7 @@ def cmd_train(args) -> int:
         weighted = args.method == "mlwsvm"
         model, report = train_multilevel(data, view, weighted, _knn_config(args),
                                          _ud_config(args), solver,
-                                         _fw_config(args, args.seed, args.workers))
+                                         _fw_config(args))
         report_text = report.format_table()
     save_any_model(model, args.model)
     if args.report and report_text is not None:
@@ -341,9 +331,8 @@ def _cv_kwargs(args):
         knn_config=_knn_config(args),
         ud_config=_ud_config(args),
         solver_config=_solver_config(args),
-        fw_config=_fw_config(args, args.seed, args.workers),
+        fw_config=_fw_config(args),
         rem_config=_rem_config(args),
-        workers=args.workers,
         normalize_scope=args.normalize_scope,
     )
 

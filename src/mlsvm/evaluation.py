@@ -2,8 +2,7 @@
 
 Every fold fits normalization and imputation on its training rows only and
 applies the fitted transforms to the held-out rows, so no statistic ever
-travels from test to train. Folds are independent tasks; aggregation order is
-fixed, so results do not depend on the worker count.
+travels from test to train.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from mlsvm.imputation import MeanImputer, RemConfig, RemImputer
 from mlsvm.knn import KnnConfig
 from mlsvm.metrics import ConfusionMatrix, Metrics, compute_metrics, stratified_folds
 from mlsvm.multilevel import FrameworkConfig, predict_model, train_multilevel
-from mlsvm.parallel import parallel_map
 from mlsvm.rng import child_rng
 from mlsvm.svm import KernelParams, SolverConfig, train_svm
 from mlsvm.ud import UdConfig, ud_search
@@ -124,7 +122,7 @@ def run_cv(data: Dataset, positive_class: int, method: str,
            solver_config: SolverConfig | None = None,
            fw_config: FrameworkConfig | None = None,
            rem_config: RemConfig | None = None,
-           workers: int = 1, normalize_scope: str = "fold") -> EvalReport:
+           normalize_scope: str = "fold") -> EvalReport:
     """Stratified k-fold evaluation of one method on one binary view."""
     if method not in METHODS:
         raise ValueError("unknown method %r" % method)
@@ -168,14 +166,12 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         if method in ("svm", "wsvm"):
             weighted = method == "wsvm"
             outcome = ud_search(view, np.arange(train_ds.n_rows), weighted,
-                                ud_config, solver_config, seed=fold_seed,
-                                workers=1)
+                                ud_config, solver_config, seed=fold_seed)
             model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                               solver_config, np.arange(train_ds.n_rows))
         else:
             weighted = method == "mlwsvm"
-            fw = dataclasses.replace(fw_config or FrameworkConfig(),
-                                     seed=fold_seed, workers=1)
+            fw = dataclasses.replace(fw_config or FrameworkConfig(), seed=fold_seed)
             model, report = train_multilevel(train_ds, view, weighted,
                                              knn_config, ud_config,
                                              solver_config, fw)
@@ -190,7 +186,7 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         return FoldResult(cm=cm, metrics=compute_metrics(cm), seconds=seconds)
 
     report = EvalReport(method=method, positive_class=positive_class)
-    report.folds = parallel_map(one_fold, range(folds), workers=workers)
+    report.folds = [one_fold(f) for f in range(folds)]
     return report
 
 

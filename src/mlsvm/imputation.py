@@ -26,9 +26,7 @@ class RemConfig:
     max_iters: int = 50
     stagnation_tol: float = 1e-2
     cv_folds: int = 5
-    cv_error_norm: int = 2
     regularization: float | None = None   # None = choose per pattern by CV
-    gamma_grid: tuple = _DEFAULT_GRID
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -191,7 +189,6 @@ class RemImputer:
         self.scatter_ = xc.T @ xc
         self._fold_rows = _fold_bounds(n, self.config.cv_folds)
         self.fold_scatters_ = [xc[a:b].T @ xc[a:b] for a, b in self._fold_rows]
-        self._xc_cache = xc if self.config.cv_error_norm != 2 else None
 
     @property
     def covariance_(self) -> np.ndarray:
@@ -225,13 +222,13 @@ class RemImputer:
         cfg = self.config
         if cfg.regularization is not None:
             return np.full(len(group.pattern_ids), float(cfg.regularization))
-        grid = np.asarray(cfg.gamma_grid, dtype=np.float64)
+        grid = np.asarray(_DEFAULT_GRID, dtype=np.float64)
         P, o = group.obs_idx.shape
         if o == 0:
             return np.full(P, grid[0])
         O, M = group.obs_idx, group.mis_idx
         errs = np.zeros((P, grid.size))
-        for fi, s_f in enumerate(self.fold_scatters_):
+        for s_f in self.fold_scatters_:
             s_tr = self.scatter_ - s_f
             A = s_tr[O[:, :, None], O[:, None, :]]
             R = s_tr[O[:, :, None], M[:, None, :]]
@@ -243,25 +240,11 @@ class RemImputer:
             tr_mm = np.einsum("pii->p", Smm)
             for gi, g in enumerate(grid):
                 B = self._ridge_solve(A, D, R, g, floor)
-                if cfg.cv_error_norm == 2:
-                    SooB = Soo @ B
-                    errs[:, gi] += (tr_mm
-                                    - 2.0 * np.einsum("pom,pom->p", B, Som)
-                                    + np.einsum("pom,pom->p", B, SooB))
-                else:
-                    errs[:, gi] += self._norm_error(group, B, fi)
+                SooB = Soo @ B
+                errs[:, gi] += (tr_mm
+                                - 2.0 * np.einsum("pom,pom->p", B, Som)
+                                + np.einsum("pom,pom->p", B, SooB))
         return grid[np.argmin(errs, axis=1)]
-
-    def _norm_error(self, group: _PatternGroup, B: np.ndarray, fold: int) -> np.ndarray:
-        """Held-out |residual|^p summed per pattern, for cv_error_norm != 2."""
-        a, b = self._fold_rows[fold]
-        xc = self._xc_cache[a:b]
-        p = self.config.cv_error_norm
-        out = np.zeros(len(group.pattern_ids))
-        for i in range(len(group.pattern_ids)):
-            res = xc[:, group.mis_idx[i]] - xc[:, group.obs_idx[i]] @ B[i]
-            out[i] = (np.abs(res) ** p).sum()
-        return out
 
     def _ridge_solve(self, A, D, R, gamma, floor):
         o = A.shape[1]

@@ -22,11 +22,12 @@ import numpy as np
 from mlsvm.clustering import kmeans
 from mlsvm.data import BinaryView, Dataset
 from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
-from mlsvm.parallel import parallel_map
 from mlsvm.rng import child_rng
-from mlsvm.svm import (ClassWeights, KernelParams, SolverConfig, SvmModel,
-                       decision_values, predict, train_svm)
+from mlsvm.svm import (KernelParams, SolverConfig, class_weights, decision_values,
+                       model_from_lines, model_lines, predict, save_model, train_svm)
 from mlsvm.ud import UdConfig, ud_search
+
+_STALL_SHRINK = 0.05     # stop coarsening when a level shrinks less than this
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,8 @@ class FrameworkConfig:
     q_dt: int = 5000               # direct-retrain threshold in refinement
     neighbor_expansion: int = 5    # fine neighbors added per support vector
     p_fraction: float = 0.10       # fraction of opposite clusters paired
-    kmeans_restarts: int = 3
-    kmeans_max_iter: int = 100
-    stall_shrink: float = 0.05     # stop when a level shrinks less than this
     final: str = "retrain"         # level-0 cluster mode: retrain | ensemble
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if not 0 < self.q < 1:
@@ -170,7 +167,6 @@ def predict_model(model, points: np.ndarray):
 
 def save_any_model(model, path) -> None:
     """Write a plain model or an ensemble; files are self-describing."""
-    from mlsvm.svm import model_lines, save_model
     if not isinstance(model, EnsembleModel):
         save_model(model, path)
         return
@@ -189,15 +185,25 @@ def save_any_model(model, path) -> None:
 
 
 def load_any_model(path):
-    from mlsvm.svm import load_model, model_from_lines
+    """Read a file written by save_any_model; a malformed file raises
+    ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        return _model_from_file_lines(lines)
+    except IndexError as exc:
+        raise ValueError("%s: truncated or malformed model file" % path) from exc
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc
+
+
+def _model_from_file_lines(lines):
     if not lines:
-        raise ValueError("%s: empty model file" % path)
+        raise ValueError("empty model file")
     if lines[0] == "mlsvm-model v1":
-        return load_model(path)
+        return model_from_lines(lines)
     if lines[0] != "mlsvm-ensemble v1":
-        raise ValueError("%s: not a model file" % path)
+        raise ValueError("not a model file")
     idx = 1
     n_features = int(lines[idx].split()[1]); idx += 1
     n_centroids = int(lines[idx].split()[1]); idx += 1
@@ -290,15 +296,11 @@ def build_hierarchy(data: Dataset, view: BinaryView,
     if pos.size < 2 or neg.size < 2:
         raise ValueError("each class needs at least 2 points")
 
-    def graphs_for(p_rows, n_rows, level):
-        gp = build_knn_graph(data, p_rows, knn_config,
-                             seed=_tag_seed(config.seed, "aknn", level, 0))
-        gn = build_knn_graph(data, n_rows, knn_config,
-                             seed=_tag_seed(config.seed, "aknn", level, 1))
-        return gp, gn
+    def graph_for(rows, level, cls):
+        return build_knn_graph(data, rows, knn_config,
+                               seed=_tag_seed(config.seed, "aknn", level, cls))
 
-    gp, gn = graphs_for(pos, neg, 0)
-    levels = [HierarchyLevel(pos, neg, gp, gn)]
+    levels = [HierarchyLevel(pos, neg, graph_for(pos, 0, 0), graph_for(neg, 0, 1))]
     floor = max(1, config.coarsest_max // 2)
     stalled = False
     while levels[-1].size > config.coarsest_max:
@@ -317,15 +319,12 @@ def build_hierarchy(data: Dataset, view: BinaryView,
             new_sets.append(rows[picked.selected])
             new_graphs.append(None)
         new_total = new_sets[0].size + new_sets[1].size
-        if new_total > cur.size * (1.0 - config.stall_shrink):
+        if new_total > cur.size * (1.0 - _STALL_SHRINK):
             stalled = True
             break
-        if new_graphs[0] is None:
-            new_graphs[0] = build_knn_graph(data, new_sets[0], knn_config,
-                                            seed=_tag_seed(config.seed, "aknn", level_no, 0))
-        if new_graphs[1] is None:
-            new_graphs[1] = build_knn_graph(data, new_sets[1], knn_config,
-                                            seed=_tag_seed(config.seed, "aknn", level_no, 1))
+        for cls in (0, 1):
+            if new_graphs[cls] is None:
+                new_graphs[cls] = graph_for(new_sets[cls], level_no, cls)
         levels.append(HierarchyLevel(new_sets[0], new_sets[1],
                                      new_graphs[0], new_graphs[1]))
     return Hierarchy(levels=levels, stalled=stalled)
@@ -333,14 +332,6 @@ def build_hierarchy(data: Dataset, view: BinaryView,
 
 def _tag_seed(seed, *tags) -> int:
     return int(child_rng(seed, *tags).integers(0, 2**31 - 1))
-
-
-def _weights_for(c: float, weighted: bool, y_rows: np.ndarray) -> ClassWeights:
-    if not weighted:
-        return ClassWeights.uniform(c)
-    n_pos = int((y_rows > 0).sum())
-    n_neg = int((y_rows < 0).sum())
-    return ClassWeights.inverse_size(c, n_pos, n_neg)
 
 
 def train_coarsest(data: Dataset, view: BinaryView, hierarchy: Hierarchy,
@@ -353,8 +344,7 @@ def train_coarsest(data: Dataset, view: BinaryView, hierarchy: Hierarchy,
     coarsest = hierarchy.levels[-1]
     rows = np.sort(np.concatenate([coarsest.pos_rows, coarsest.neg_rows]))
     outcome = ud_search(view, rows, weighted, ud_config, solver_config,
-                        center=None, seed=_tag_seed(config.seed, "ud", hierarchy.n_levels - 1),
-                        workers=config.workers)
+                        center=None, seed=_tag_seed(config.seed, "ud", hierarchy.n_levels - 1))
     model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                       solver_config, rows)
     return LevelSolution(support_rows=np.sort(model.sv_rows),
@@ -395,8 +385,7 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
     if data_train.size < config.q_dt:
         outcome = ud_search(view, data_train, weighted, ud_config, solver_config,
                             center=(coarse.c, coarse.gamma),
-                            seed=_tag_seed(config.seed, "ud", level),
-                            workers=config.workers)
+                            seed=_tag_seed(config.seed, "ud", level))
         model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                           solver_config, data_train)
         return LevelSolution(support_rows=np.sort(model.sv_rows),
@@ -414,30 +403,25 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
     k_pos = min(k_pos, pos_dt.size)
     k_neg = min(k_neg, neg_dt.size)
     cen_pos, asg_pos = kmeans(data.features[pos_dt], k_pos,
-                              child_rng(config.seed, "kmeans", level, 0),
-                              config.kmeans_restarts, config.kmeans_max_iter)
+                              child_rng(config.seed, "kmeans", level, 0))
     cen_neg, asg_neg = kmeans(data.features[neg_dt], k_neg,
-                              child_rng(config.seed, "kmeans", level, 1),
-                              config.kmeans_restarts, config.kmeans_max_iter)
+                              child_rng(config.seed, "kmeans", level, 1))
     k_pos, k_neg = cen_pos.shape[0], cen_neg.shape[0]
     dist = ((cen_pos[:, None, :] - cen_neg[None, :, :]) ** 2).sum(axis=2)
     pairs = pair_clusters(dist, config.p_fraction)
 
-    def train_pair(pair):
-        ci, cj = pair
+    models = []
+    for ci, cj in pairs:
         rows = np.sort(np.concatenate([pos_dt[asg_pos == ci], neg_dt[asg_neg == cj]]))
-        weights = _weights_for(c, weighted, y_all[rows])
-        return train_svm(view, weights, KernelParams(gamma), solver_config, rows)
-
-    models = parallel_map(train_pair, pairs, config.workers)
+        models.append(train_svm(view, class_weights(c, weighted, y_all[rows]),
+                                KernelParams(gamma), solver_config, rows))
     support = np.unique(np.concatenate([m.sv_rows for m in models]))
 
     final_model = None
     if level == 0:
         if config.final == "retrain":
-            weights = _weights_for(c, weighted, y_all[support])
-            final_model = train_svm(view, weights, KernelParams(gamma),
-                                    solver_config, support)
+            final_model = train_svm(view, class_weights(c, weighted, y_all[support]),
+                                    KernelParams(gamma), solver_config, support)
             support = np.sort(final_model.sv_rows)
         else:
             centroids = np.vstack([cen_pos, cen_neg])

@@ -8,7 +8,7 @@ import numpy as np
 
 
 def child_rng(seed: int, *tags) -> np.random.Generator:
-    """Independent generator for (seed, tags); stable across runs and workers.
+    """Independent generator for (seed, tags); stable across runs.
 
     Tags may be ints or short strings; strings are hashed with crc32 so the
     derivation does not depend on Python's randomized hash.

@@ -54,6 +54,13 @@ class ClassWeights:
         return ClassWeights(c_plus=c * n_neg / n_pos, c_minus=c)
 
 
+def class_weights(c: float, weighted: bool, y: np.ndarray) -> ClassWeights:
+    """Inverse-size caps for the signed labels y when weighted, else uniform."""
+    if not weighted:
+        return ClassWeights.uniform(c)
+    return ClassWeights.inverse_size(c, int((y > 0).sum()), int((y < 0).sum()))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     kkt_tolerance: float = 1e-3
@@ -320,16 +327,24 @@ def model_lines(model: SvmModel) -> list[str]:
 
 
 def model_from_lines(lines: list[str]) -> SvmModel:
+    """Parse one model block; any malformed or missing line raises ValueError."""
     if not lines or lines[0] != "mlsvm-model v1":
         raise ValueError("not a model block")
     header = {}
     sv_lines = []
     for ln in lines[1:]:
         if ln.startswith("sv "):
+            if len(ln.split()) < 3:
+                raise ValueError("support-vector line needs a label and an "
+                                 "alpha: %r" % ln)
             sv_lines.append(ln)
         elif ln.strip():
             k, v = ln.split(None, 1)
             header[k] = v
+    absent = [k for k in ("gamma", "c_plus", "c_minus", "bias", "n_features", "n_sv")
+              if k not in header]
+    if absent:
+        raise ValueError("model block lacks %s" % ", ".join(absent))
     n_features = int(header["n_features"])
     n_sv = int(header["n_sv"])
     if len(sv_lines) != n_sv:

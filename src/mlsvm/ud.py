@@ -4,51 +4,39 @@ Stage 1 places a fixed low-discrepancy lattice over the log-scaled ranges
 (re-centered on an inherited optimum when one is supplied). Stage 2 places a
 smaller lattice around the stage-1 winner with half-width equal to one
 stage-1 lattice step per axis; the stage-2 center coincides with the winner
-and reuses its score, so the default budget trains 9 + 5 - 1 = 13 distinct
-candidates. Each candidate is scored by stratified k-fold cross-validation,
-by default on the geometric mean of sensitivity and specificity.
+and reuses its score, so a search trains at most 9 + 5 - 1 = 13 distinct
+candidates. Each candidate is scored by stratified k-fold cross-validation
+on the geometric mean of sensitivity and specificity.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from mlsvm.data import BinaryView
 from mlsvm.metrics import ConfusionMatrix, compute_metrics, stratified_folds
-from mlsvm.parallel import parallel_map
-from mlsvm.svm import ClassWeights, KernelParams, SolverConfig, predict, train_svm
+from mlsvm.svm import (ClassWeights, KernelParams, SolverConfig, class_weights,
+                       predict, train_svm)
 
 # shifted good-lattice-point designs; each level appears once per axis
-_UD_PATTERNS = {
-    9: ((1, 3), (2, 7), (3, 2), (4, 6), (5, 1), (6, 5), (7, 9), (8, 4), (9, 8)),
-    5: ((1, 2), (2, 5), (3, 3), (4, 1), (5, 4)),
-    1: ((1, 1),),
-}
+_STAGE1 = ((1, 3), (2, 7), (3, 2), (4, 6), (5, 1), (6, 5), (7, 9), (8, 4), (9, 8))
+_STAGE2 = ((1, 2), (2, 5), (3, 3), (4, 1), (5, 4))
 
 
 @dataclass(frozen=True)
 class UdConfig:
-    stage1_runs: int = 9
-    stage2_runs: int = 5
     c_range: tuple = (0.01, 100.0)
     gamma_range: tuple = (0.005, 3.000078)
     internal_cv_folds: int = 5
-    objective: str = "g-mean"     # or "accuracy"
 
     def __post_init__(self):
-        for runs in (self.stage1_runs, self.stage2_runs):
-            if runs not in _UD_PATTERNS:
-                raise ValueError("run counts must be one of %s" % sorted(_UD_PATTERNS))
         for lo, hi in (self.c_range, self.gamma_range):
             if not (0 < lo <= hi):
                 raise ValueError("ranges must be positive and ordered")
         if self.internal_cv_folds < 2:
             raise ValueError("internal_cv_folds must be >= 2")
-        if self.objective not in ("g-mean", "accuracy"):
-            raise ValueError("objective must be 'g-mean' or 'accuracy'")
 
 
 @dataclass
@@ -62,8 +50,6 @@ class UdOutcome:
 
 
 def _levels(pattern_size: int, lo: float, hi: float, level) -> float:
-    if pattern_size == 1:
-        return 0.5 * (lo + hi)
     return lo + (level - 1) * (hi - lo) / (pattern_size - 1)
 
 
@@ -80,9 +66,8 @@ def _stage1_window(lo, hi, center):
 def ud_search(view: BinaryView, rows, weights_mode: bool,
               config: UdConfig | None = None,
               solver: SolverConfig | None = None,
-              center: tuple | None = None, seed: int = 0,
-              workers: int = 1) -> UdOutcome:
-    """Pick (C, gamma) maximizing the CV objective over the nested lattice.
+              center: tuple | None = None, seed: int = 0) -> UdOutcome:
+    """Pick (C, gamma) maximizing the CV G-mean over the nested lattice.
 
     In weighted mode the per-class caps are tied to the searched C by the
     inverse class-size ratio, keeping the search two-dimensional. Ties break
@@ -103,14 +88,9 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
     else:
         assign = None     # degenerate data: score by training fit
 
-    def make_weights(c: float) -> ClassWeights:
-        if weights_mode:
-            return ClassWeights.inverse_size(c, n_pos, n_neg)
-        return ClassWeights.uniform(c)
-
     def evaluate(candidate):
         c, gamma = candidate
-        weights = make_weights(c)
+        weights = class_weights(c, weights_mode, y)
         kernel = KernelParams(gamma)
         cm = ConfusionMatrix()
         if assign is None:
@@ -131,8 +111,7 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
                 cm = cm + ConfusionMatrix.from_predictions(view.y()[te], pred)
             if skipped == folds:
                 raise ValueError("every CV fold lost a class; too few rows")
-        m = compute_metrics(cm)
-        return m.gmean if config.objective == "g-mean" else m.acc
+        return compute_metrics(cm).gmean
 
     log_c_lo, log_c_hi = np.log10(config.c_range[0]), np.log10(config.c_range[1])
     log_g_lo, log_g_hi = np.log10(config.gamma_range[0]), np.log10(config.gamma_range[1])
@@ -141,11 +120,11 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
 
     w_c = _stage1_window(log_c_lo, log_c_hi, c_center)
     w_g = _stage1_window(log_g_lo, log_g_hi, g_center)
-    runs1 = config.stage1_runs
+    runs1 = len(_STAGE1)
     stage1 = [
         (10.0 ** _levels(runs1, w_c[0], w_c[1], lc),
          10.0 ** _levels(runs1, w_g[0], w_g[1], lg))
-        for lc, lg in _UD_PATTERNS[runs1]
+        for lc, lg in _STAGE1
     ]
 
     scores: dict[tuple, float] = {}
@@ -153,23 +132,21 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
 
     def run_batch(cands):
         fresh = [cand for cand in cands if cand not in scores]
-        results = parallel_map(evaluate, fresh, workers)
-        for cand, s in zip(fresh, results):
-            scores[cand] = s
-            trace.append((cand[0], cand[1], s))
+        for cand in fresh:
+            scores[cand] = evaluate(cand)
+            trace.append((cand[0], cand[1], scores[cand]))
 
     run_batch(stage1)
     winner1 = min(stage1, key=lambda cand: (-scores[cand], cand[0], cand[1]))
 
-    step_c = (w_c[1] - w_c[0]) / (runs1 - 1) if runs1 > 1 else (w_c[1] - w_c[0]) / 2 or 0.5
-    step_g = (w_g[1] - w_g[0]) / (runs1 - 1) if runs1 > 1 else (w_g[1] - w_g[0]) / 2 or 0.5
-    runs2 = config.stage2_runs
-    half = (runs2 - 1) / 2.0
+    step_c = (w_c[1] - w_c[0]) / (runs1 - 1)
+    step_g = (w_g[1] - w_g[0]) / (runs1 - 1)
+    half = (len(_STAGE2) - 1) / 2.0
     wc_log, wg_log = np.log10(winner1[0]), np.log10(winner1[1])
     stage2 = []
-    for lc, lg in _UD_PATTERNS[runs2]:
-        off_c = 0.0 if half == 0 else (lc - (half + 1)) / half * step_c
-        off_g = 0.0 if half == 0 else (lg - (half + 1)) / half * step_g
+    for lc, lg in _STAGE2:
+        off_c = (lc - (half + 1)) / half * step_c
+        off_g = (lg - (half + 1)) / half * step_g
         if off_c == 0.0 and off_g == 0.0:
             stage2.append(winner1)
             continue
@@ -181,10 +158,8 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
 
     all_cands = list(dict.fromkeys(stage1 + stage2))
     best = min(all_cands, key=lambda cand: (-scores[cand], cand[0], cand[1]))
-    if len(scores) > config.stage1_runs + config.stage2_runs - 1:
-        warnings.warn("uniform design evaluated more candidates than budgeted")
     return UdOutcome(
         c=best[0], gamma=best[1], score=scores[best],
-        weights=make_weights(best[0]),
+        weights=class_weights(best[0], weights_mode, y),
         trace=trace, evaluations=len(scores),
     )

@@ -172,7 +172,7 @@ def test_criterion_06_twonorm_scale_gmean():
         noisy = inject_missing(base, ratio, seed=17)
         for method in ("mlsvm", "mlwsvm"):
             rep = run_cv(noisy, 1, method, imputer="rem", folds=10, seed=5,
-                         ud_config=TWONORM_UD, fw_config=TWONORM_FW, workers=2)
+                         ud_config=TWONORM_UD, fw_config=TWONORM_FW)
             results[(ratio, method)] = rep.mean.gmean
     elapsed = time.perf_counter() - t0
     ok = all(g >= 0.95 for g in results.values())
@@ -301,21 +301,19 @@ def test_criterion_11_cli_byte_reproducibility(tmp_path):
         return proc.stdout
 
     pairs = []
-    for tag, workers in (("a", "1"), ("b", "4"), ("c", "1")):
+    for tag in ("a", "b", "c"):
         full = tmp_path / ("full_%s.csv" % tag)
         model = tmp_path / ("m_%s.model" % tag)
         preds = tmp_path / ("p_%s.txt" % tag)
         run(["impute", "--in", str(src), "--out", str(full), "--method", "rem"])
         run(["train", "--in", str(full), "--model", str(model),
              "--method", "mlsvm", "--coarsest-max", "120", "--Qdt", "240",
-             "--ud-folds", "3", "--seed", "21", "--workers", workers,
-             "--positive-class", "1"])
+             "--ud-folds", "3", "--seed", "21", "--positive-class", "1"])
         run(["predict", "--model", str(model), "--in", str(full),
              "--out", str(preds)])
         bench = run(["benchmark", "--in", str(full), "--ratios", "0.05",
                      "--methods", "svm", "--imputer", "mean", "--folds", "2",
-                     "--ud-folds", "2", "--seed", "3", "--workers", workers,
-                     "--name", "data"])
+                     "--ud-folds", "2", "--seed", "3", "--name", "data"])
         # wall-clock seconds are the one column that cannot reproduce
         bench_stable = "\n".join(
             "\t".join(tok for i, tok in enumerate(ln.split("\t")) if i != 7)
@@ -323,4 +321,4 @@ def test_criterion_11_cli_byte_reproducibility(tmp_path):
         pairs.append((full.read_bytes(), model.read_bytes(),
                       preds.read_bytes(), bench_stable))
     ok = pairs[0] == pairs[1] == pairs[2]
-    record(11, ok, "CLI outputs byte-identical across reruns and worker counts")
+    record(11, ok, "CLI outputs byte-identical across reruns")

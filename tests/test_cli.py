@@ -85,15 +85,6 @@ class TestTrain:
         assert main(args + ["--model", m2]) == 0
         assert open(m1).read() == open(m2).read()
 
-    def test_worker_count_byte_identical(self, clean_csv, tmp_path):
-        m1 = str(tmp_path / "m1.model")
-        m2 = str(tmp_path / "m2.model")
-        base = ["train", "--in", clean_csv, "--method", "svm",
-                "--ud-folds", "3", "--seed", "5"]
-        assert main(base + ["--model", m1, "--workers", "1"]) == 0
-        assert main(base + ["--model", m2, "--workers", "4"]) == 0
-        assert open(m1).read() == open(m2).read()
-
     def test_fixed_hyperparameters_skip_search(self, clean_csv, tmp_path):
         model = str(tmp_path / "m.model")
         rc = main(["train", "--in", clean_csv, "--model", model,
@@ -107,6 +98,25 @@ class TestTrain:
                    str(tmp_path / "m.model"), "--method", "mlsvm",
                    "--C", "5.0", "--gamma", "0.3"])
         assert rc == 1
+
+
+class TestPredict:
+    @pytest.mark.parametrize("text", [
+        "mlsvm-ensemble v1\n",
+        "mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
+        "bias 0\nn_sv 0\n",
+        "mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
+        "bias 0\nn_features 3\nn_sv 1\nsv 1\n",
+    ], ids=["ensemble-header-only", "no-n-features", "short-sv-line"])
+    def test_malformed_model_file_exits_1(self, text, clean_csv, tmp_path,
+                                          capsys):
+        model = tmp_path / "bad.model"
+        model.write_text(text)
+        rc = main(["predict", "--model", str(model), "--in", clean_csv,
+                   "--out", str(tmp_path / "p.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(model) in err
 
 
 class TestEvaluate:
@@ -199,16 +209,18 @@ class TestSolverFlags:
 
     def test_removed_solver_flag_is_usage_error(self, clean_csv, tmp_path,
                                                 capsys):
-        rc = main(["train", "--in", clean_csv, "--model",
-                   str(tmp_path / "m.model"), "--no-shrinking"])
-        assert rc == 1
-        assert "usage error" in capsys.readouterr().err
+        for removed in (["--no-shrinking"], ["--workers", "2"],
+                        ["--error-norm", "1"]):
+            rc = main(["train", "--in", clean_csv, "--model",
+                       str(tmp_path / "m.model")] + removed)
+            assert rc == 1, removed
+            assert "usage error" in capsys.readouterr().err
 
 
 class TestHelp:
     @pytest.mark.parametrize("sub,flags", [
         ("train", ["--method", "--Q", "--Qdt", "--coarsest-max", "--k",
-                    "--final", "--seed", "--workers"]),
+                    "--final", "--seed"]),
         ("impute", ["--method", "--max-iters", "--stagnation-tol"]),
         ("evaluate", ["--folds", "--imputer", "--normalize-scope"]),
         ("benchmark", ["--ratios", "--methods", "--include-impute-time"]),

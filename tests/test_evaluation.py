@@ -119,15 +119,6 @@ class TestRunCv:
         assert rep.mean.gmean >= 0.97
         assert rep.seconds_total() > 0
 
-    def test_workers_do_not_change_results(self):
-        ds = make_separable_blobs(n=160, d=3, seed=5)
-        r1 = run_cv(ds, 1, "svm", imputer="none", folds=4, seed=2,
-                    ud_config=FAST_UD, workers=1)
-        r2 = run_cv(ds, 1, "svm", imputer="none", folds=4, seed=2,
-                    ud_config=FAST_UD, workers=4)
-        for f1, f2 in zip(r1.folds, r2.folds):
-            assert f1.cm == f2.cm
-
     def test_report_format(self):
         ds = make_separable_blobs(n=90, d=3, seed=6)
         rep = run_cv(ds, 1, "wsvm", imputer="none", folds=3, seed=0,

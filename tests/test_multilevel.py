@@ -358,19 +358,6 @@ class TestTrainMultilevel:
         assert np.array_equal(m1.sv_alphas, m2.sv_alphas)
         assert m1.bias == m2.bias
 
-    def test_worker_count_invariance(self):
-        ds = make_separable_blobs(n=800, d=3, seed=14)
-        view = binary_view(ds, 1)
-        ud = UdConfig(internal_cv_folds=3)
-        m1, _ = train_multilevel(ds, view, False, KnnConfig(k=5), ud, None,
-                                 FrameworkConfig(coarsest_max=80, q_dt=300,
-                                                 seed=4, workers=1))
-        m2, _ = train_multilevel(ds, view, False, KnnConfig(k=5), ud, None,
-                                 FrameworkConfig(coarsest_max=80, q_dt=300,
-                                                 seed=4, workers=4))
-        assert np.array_equal(m1.sv_alphas, m2.sv_alphas)
-        assert m1.bias == m2.bias
-
 
 class TestKmeans:
     def test_two_obvious_clusters(self):
