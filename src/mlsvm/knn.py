@@ -16,6 +16,7 @@ import numpy as np
 from mlsvm.data import Dataset
 
 EXACT_DEFAULT_LIMIT = 20_000
+_PAIR_CHUNK = 1 << 16          # co-leaf pairs gathered at once by the approximate search
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def _rp_tree_leaves(x, idx, leaf_size, rng, out):
         return
     direction = rng.standard_normal(x.shape[1])
     proj = x[idx] @ direction
-    med = np.median(proj)
+    med = _median(proj)
     left = proj < med
     # degenerate split (duplicate points): halve by index order to terminate
     if not left.any() or left.all():
@@ -156,62 +157,135 @@ def _rp_tree_leaves(x, idx, leaf_size, rng, out):
     _rp_tree_leaves(x, idx[~left], leaf_size, rng, out)
 
 
+def _median(v: np.ndarray) -> float:
+    """np.median of a 1-d float array, without its per-call overhead."""
+    half = v.size // 2
+    odd = v.size % 2
+    part = np.partition(v, (half, -1) if odd else (half - 1, half, -1))
+    if np.isnan(part[-1]):
+        return np.nan
+    return part[half] if odd else (part[half - 1] + part[half]) / 2
+
+
 def _approx_knn(x: np.ndarray, k: int, config: KnnConfig, seed: int):
     n = x.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B6E6E]))
-    cand_lists: list[list[np.ndarray]] = [[] for _ in range(n)]
+    trees = []
     for _ in range(config.n_trees):
         leaves: list[np.ndarray] = []
         _rp_tree_leaves(x, np.arange(n), config.leaf_size, rng, leaves)
-        for leaf in leaves:
-            for i in leaf:
-                cand_lists[i].append(leaf)
+        sizes = np.array([leaf.size for leaf in leaves], dtype=np.int64)
+        members = np.concatenate(leaves)
+        # the leaves partition the points: each point's leaf as (start, size)
+        leaf_start = np.empty(n, dtype=np.int64)
+        leaf_size = np.empty(n, dtype=np.int64)
+        leaf_start[members] = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        leaf_size[members] = np.repeat(sizes, sizes)
+        trees.append((members, leaf_start, leaf_size))
     sq = np.einsum("ij,ij->i", x, x)
     nbr_ids = np.empty((n, k), dtype=np.int64)
     nbr_d2 = np.empty((n, k))
-    for i in range(n):
-        cand, counts = np.unique(np.concatenate(cand_lists[i]), return_counts=True)
-        keep = cand != i
-        cand, counts = cand[keep], counts[keep]
-        if cand.size > config.search_checks:
-            # frequently co-leafed points are the most promising candidates
-            top = np.lexsort((cand, -counts))[:config.search_checks]
-            cand = cand[top]
-        if cand.size < k:
-            cand = np.delete(np.arange(n), i)
-        d2 = sq[cand] + sq[i] - 2.0 * (x[cand] @ x[i])
-        np.maximum(d2, 0.0, out=d2)
-        order = np.lexsort((cand, d2))[:k]
-        nbr_ids[i] = cand[order]
-        nbr_d2[i] = d2[order]
+    step = max(1, _PAIR_CHUNK // max(1, k, config.n_trees * config.leaf_size))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        cand, group = _leaf_candidates(trees, a, b, n, config.search_checks)
+        ptr = [0] + np.cumsum(group).tolist()
+        d2 = np.empty(cand.size)
+        for r in range(b - a):
+            d2[ptr[r]:ptr[r + 1]] = _dist2(x, sq, cand[ptr[r]:ptr[r + 1]], a + r)
+        nbr_ids[a:b], nbr_d2[a:b] = _k_smallest(cand, d2, group, k, n)
+        for i in a + np.flatnonzero(group < k):
+            # too few co-leafed points: search all of them
+            cand_i = np.delete(np.arange(n), i)
+            d2_i = _dist2(x, sq, cand_i, i)
+            pick = d2_i.argsort(kind="stable")[:k]
+            nbr_ids[i], nbr_d2[i] = cand_i[pick], d2_i[pick]
     for _ in range(max(0, config.refine_iters)):
         if not _refine_neighbors(x, sq, nbr_ids, nbr_d2):
             break
     return nbr_ids, nbr_d2
 
 
+def _dist2(x, sq, cand, i):
+    """Squared distances from point i to the candidate rows, in their order."""
+    # take() gathers the same rows as x[cand], with less call overhead
+    d2 = sq[cand] + sq[i] - 2.0 * (x.take(cand, axis=0) @ x[i])
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _leaf_candidates(trees, a: int, b: int, n: int, checks: int):
+    """Search candidates of points a..b-1, flat and grouped by point.
+
+    A point's candidates are the points sharing a leaf with it in any tree,
+    in index order; past ``checks`` of them, the ``checks`` most often
+    co-leafed (ties to the lower index) in that order.
+    """
+    pts = np.arange(a, b, dtype=np.int64)
+    keys = []
+    for members, leaf_start, leaf_size in trees:
+        sz = leaf_size[pts]
+        offset = np.arange(sz.sum()) - np.repeat(np.cumsum(sz) - sz, sz)
+        src = np.repeat(pts, sz)
+        keys.append(src * n + members[np.repeat(leaf_start[pts], sz) + offset])
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    src, cand = keys // n, keys % n
+    keep = src != cand
+    src, cand, counts = src[keep], cand[keep], counts[keep]
+    group = np.bincount(src - a, minlength=b - a)
+    if (group > checks).any():
+        # frequently co-leafed points are the most promising candidates
+        rank_key = np.where(group[src - a] > checks, -counts, 0)
+        order = np.lexsort((cand, rank_key, src))
+        first = np.repeat(np.cumsum(group) - group, group)
+        cand = cand[order[np.arange(cand.size) - first < checks]]
+        group = np.minimum(group, checks)
+    return cand, group
+
+
+def _k_smallest(cand, d2, group, k: int, n: int):
+    """Per group of candidates, the k of least (d2, id).
+
+    Groups become the rows of a matrix; a group shorter than the widest is
+    padded with (d2 NaN, id n), which sorts after every real candidate.
+    """
+    width = max(k, int(group.max()))
+    first = np.repeat(np.cumsum(group) - group, group)
+    row = np.repeat(np.arange(group.size), group)
+    col = np.arange(cand.size) - first
+    ids = np.full((group.size, width), n, dtype=np.int64)
+    dist = np.full((group.size, width), np.nan)
+    ids[row, col] = cand
+    dist[row, col] = d2
+    pick = np.lexsort((ids, dist), axis=1)[:, :k]
+    return np.take_along_axis(ids, pick, 1), np.take_along_axis(dist, pick, 1)
+
+
 def _refine_neighbors(x, sq, nbr_ids, nbr_d2) -> bool:
-    """One pass of neighbor-of-neighbor (and reverse-neighbor) improvement."""
+    """One pass of neighbor-of-neighbor (and reverse-neighbor) improvement.
+
+    Points are visited in order and see the lists already improved in this
+    pass; the reverse lists are those at the start of the pass.
+    """
     n, k = nbr_ids.shape
     order = np.argsort(nbr_ids.ravel(), kind="stable")
     rev_src = np.repeat(np.arange(n), k)[order]
     rev_dst = nbr_ids.ravel()[order]
-    starts = np.searchsorted(rev_dst, np.arange(n))
-    stops = np.searchsorted(rev_dst, np.arange(n), side="right")
+    bounds = np.searchsorted(rev_dst, np.arange(n + 1)).tolist()
     changed = False
     for i in range(n):
-        cand = np.concatenate([
-            nbr_ids[i],
-            nbr_ids[nbr_ids[i]].ravel(),
-            rev_src[starts[i]:stops[i]],
-        ])
-        cand = np.unique(cand)
-        cand = cand[cand != i]
-        d2 = sq[cand] + sq[i] - 2.0 * (x[cand] @ x[i])
-        np.maximum(d2, 0.0, out=d2)
-        pick = np.lexsort((cand, d2))[:k]
+        nbrs = nbr_ids[i]
+        cand = np.concatenate((nbrs, nbr_ids.take(nbrs, axis=0).ravel(),
+                               rev_src[bounds[i]:bounds[i + 1]]))
+        cand.sort()
+        keep = cand != i
+        keep[1:] &= cand[1:] != cand[:-1]
+        cand = cand[keep]
+        d2 = _dist2(x, sq, cand, i)
+        # cand ascends, so a stable sort on d2 breaks ties to the lower id
+        pick = d2.argsort(kind="stable")[:k]
         new_ids = cand[pick]
-        if not np.array_equal(new_ids, nbr_ids[i]):
+        if new_ids.tobytes() != nbrs.tobytes():
             changed = True
             nbr_ids[i] = new_ids
             nbr_d2[i] = d2[pick]
@@ -222,15 +296,14 @@ def _symmetric_closure(nbr_ids: np.ndarray, n: int):
     k = nbr_ids.shape[1]
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = nbr_ids.ravel()
-    a = np.concatenate([src, dst])
-    b = np.concatenate([dst, src])
-    keep = a != b
-    a, b = a[keep], b[keep]
-    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
-    counts = np.bincount(pairs[:, 0], minlength=n)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    # every edge both ways, keyed so that sorting orders by (node, neighbor)
+    keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    counts = np.bincount(keys // n, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, pairs[:, 1].copy()
+    return indptr, keys % n
 
 
 def knn_recall(approx: KnnGraph, exact: KnnGraph) -> float:

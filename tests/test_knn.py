@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mlsvm.data import Dataset
-from mlsvm.knn import KnnConfig, build_knn_graph, knn_recall
+from mlsvm.knn import KnnConfig, _median, build_knn_graph, knn_recall
 from oracles import brute_knn
 
 
@@ -127,6 +127,42 @@ class TestRecall:
         g2 = build_knn_graph(ds, np.arange(8), KnnConfig(k=2, mode="exact"))
         with pytest.raises(ValueError):
             knn_recall(g1, g2)
+
+
+class TestApproximate:
+    def test_one_leaf_holding_every_point_is_exact(self):
+        x = np.random.default_rng(11).normal(size=(90, 3))
+        cfg = KnnConfig(k=6, mode="approximate", n_trees=2, leaf_size=100,
+                        search_checks=1000, refine_iters=0)
+        g = build_knn_graph(points_dataset(x), np.arange(90), cfg, seed=1)
+        assert np.array_equal(g.neighbor_ids, brute_knn(x, 6))
+
+    def test_too_few_candidates_falls_back_to_full_search(self):
+        x = np.random.default_rng(12).normal(size=(80, 3))
+        cfg = KnnConfig(k=5, mode="approximate", n_trees=1, leaf_size=4,
+                        search_checks=2, refine_iters=0)
+        g = build_knn_graph(points_dataset(x), np.arange(80), cfg, seed=2)
+        assert np.array_equal(g.neighbor_ids, brute_knn(x, 5))
+
+    def test_lists_are_sorted_distinct_and_recompute(self):
+        x = np.random.default_rng(13).normal(size=(700, 4))
+        cfg = KnnConfig(k=8, mode="approximate", n_trees=3, leaf_size=20,
+                        search_checks=30, refine_iters=2)
+        g = build_knn_graph(points_dataset(x), np.arange(700), cfg, seed=3)
+        assert (np.diff(g.neighbor_dists, axis=1) >= 0).all()
+        for i in range(700):
+            ids = g.neighbor_ids[i]
+            assert i not in ids and len(set(ids.tolist())) == 8
+            true = np.sqrt(((x[ids] - x[i]) ** 2).sum(axis=1))
+            assert np.allclose(g.neighbor_dists[i], true, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("values", [
+        [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0], [2.0, 2.0, 2.0, 5.0],
+        [7.0], [1.0, np.nan, 0.5, 2.0], [-0.0, 0.0],
+    ])
+    def test_median_matches_numpy(self, values):
+        v = np.array(values)
+        assert np.array_equal(_median(v), np.median(v), equal_nan=True)
 
 
 def test_positions_of_maps_rows_to_nodes():
