@@ -37,9 +37,7 @@ from mlsvm.svm import (
     SolverConfig,
     SvmModel,
     dual_objective,
-    load_model,
     predict,
-    save_model,
     train_svm,
 )
 from mlsvm.ud import UdConfig, UdOutcome, ud_search
@@ -78,7 +76,6 @@ __all__ = [
     "knn_recall",
     "load_any_model",
     "load_dataset",
-    "load_model",
     "mean_impute",
     "one_against_all",
     "predict",
@@ -87,7 +84,6 @@ __all__ = [
     "run_benchmark",
     "run_cv",
     "save_any_model",
-    "save_model",
     "stratified_folds",
     "take_rows",
     "train_multilevel",

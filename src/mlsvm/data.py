@@ -132,6 +132,14 @@ def _is_float(tok: str) -> bool:
         return False
 
 
+def _finite_label(path, no, column, tok):
+    value = float(tok)
+    if not math.isfinite(value):
+        raise DataFormatError("%s: line %d column %d has non-finite label %r"
+                              % (path, no, column, tok))
+    return int(value)
+
+
 def _load_delimited(path, lines, label_column, missing_token, delimiter, header):
     rows = [(no, [c.strip() for c in ln.split(delimiter)]) for no, ln in lines]
     arity = len(rows[0][1])
@@ -176,7 +184,7 @@ def _load_delimited(path, lines, label_column, missing_token, delimiter, header)
         if lab_tok == missing_token or not _is_float(lab_tok):
             raise DataFormatError("%s: line %d has unparseable label %r"
                                   % (path, no, lab_tok))
-        labels[r] = int(float(lab_tok))
+        labels[r] = _finite_label(path, no, label_idx + 1, lab_tok)
         c = 0
         for i, tok in enumerate(cells):
             if i == label_idx:
@@ -190,6 +198,13 @@ def _load_delimited(path, lines, label_column, missing_token, delimiter, header)
                 raise DataFormatError("%s: line %d column %d has unparseable value %r"
                                       % (path, no, i + 1, tok))
             c += 1
+    bad = ~(np.isfinite(features) | mask)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        i = c + (c >= label_idx)
+        no, cells = rows[r]
+        raise DataFormatError("%s: line %d column %d has non-finite value %r"
+                              % (path, no, i + 1, cells[i]))
     return Dataset(features, mask, labels, _class_order(labels), feature_names)
 
 
@@ -201,7 +216,7 @@ def _load_sparse(path, lines, n_features):
         if not _is_float(toks[0]):
             raise DataFormatError("%s: line %d has unparseable label %r"
                                   % (path, no, toks[0]))
-        label = int(float(toks[0]))
+        label = _finite_label(path, no, 1, toks[0])
         pairs = []
         seen = set()
         for tok in toks[1:]:
@@ -221,17 +236,22 @@ def _load_sparse(path, lines, n_features):
             seen.add(idx)
             pairs.append((idx, float(val_s)))
             max_idx = max(max_idx, idx)
-        parsed.append((label, pairs))
+        parsed.append((no, label, pairs))
     n_f = n_features if n_features is not None else max_idx
     if max_idx > n_f:
         raise DataFormatError("%s: index %d exceeds n_features=%d" % (path, max_idx, n_f))
     l = len(parsed)
     features = np.zeros((l, n_f))
     labels = np.zeros(l, dtype=np.int64)
-    for r, (label, pairs) in enumerate(parsed):
+    for r, (_, label, pairs) in enumerate(parsed):
         labels[r] = label
         for idx, val in pairs:
             features[r, idx - 1] = val
+    bad = ~np.isfinite(features)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataFormatError("%s: line %d index %d has non-finite value %r"
+                              % (path, parsed[r][0], c + 1, float(features[r, c])))
     mask = np.zeros((l, n_f), dtype=bool)
     return Dataset(features, mask, labels, _class_order(labels))
 

@@ -24,7 +24,7 @@ from mlsvm.data import BinaryView, Dataset
 from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
 from mlsvm.rng import child_rng
 from mlsvm.svm import (KernelParams, SolverConfig, class_weights, decision_values,
-                       model_from_lines, model_lines, predict, save_model, train_svm)
+                       model_from_lines, model_lines, predict, train_svm)
 from mlsvm.ud import UdConfig, ud_search
 
 _STALL_SHRINK = 0.05     # stop coarsening when a level shrinks less than this
@@ -167,10 +167,10 @@ def predict_model(model, points: np.ndarray):
 
 def save_any_model(model, path) -> None:
     """Write a plain model or an ensemble; files are self-describing."""
-    if not isinstance(model, EnsembleModel):
-        save_model(model, path)
-        return
     with open(path, "w", encoding="utf-8") as fh:
+        if not isinstance(model, EnsembleModel):
+            fh.write("\n".join(model_lines(model)) + "\n")
+            return
         fh.write("mlsvm-ensemble v1\n")
         fh.write("n_features %d\n" % model.n_features)
         fh.write("n_centroids %d\n" % model.centroids.shape[0])

@@ -2,8 +2,11 @@
 
 The solver is sequential minimal optimization over the dual box/equality
 constraints: the maximal violator as the first working-set index, second-order
-selection of the second, and an LRU kernel-row cache with a byte budget.
-Training is fully deterministic for fixed inputs and configuration.
+selection of the second (Fan, Chen & Lin, JMLR 2005), and an LRU kernel-row
+cache with a byte budget. The scaled gradient is kept as two copies masked
+with infinities outside the up and low sets, so each selection pass is a
+plain argmax or min. Training is fully deterministic for fixed inputs and
+configuration.
 """
 
 from __future__ import annotations
@@ -143,44 +146,41 @@ class _RowCache:
 def _smo_solve(x, y, caps, gamma, config: SolverConfig):
     """Minimize 0.5 a'Qa - e'a s.t. y'a = 0, 0 <= a <= caps (Q = yy' * K).
 
-    v = -(y * gradient) is updated in place (v -= delta * (K_i - K_j), since
-    y^2 = 1) and the up/low memberships change only at the two touched
-    coordinates per step.
+    v = -(y * gradient) is kept as two masked copies: vu holds v on the up
+    set and -inf elsewhere, vl holds v on the low set and +inf elsewhere, so
+    each selection pass is one plain argmax or min. Both are updated in place
+    (v -= delta * (K_i - K_j), since y^2 = 1; the infinities stay infinite).
+    The up/low memberships change only at the two touched coordinates per
+    step, so only those two entries of each copy are masked again.
     """
     n = x.shape[0]
     tol = config.kkt_tolerance
     cache = _RowCache(x, gamma, config.cache_bytes)
     alpha = np.zeros(n)
-    v = y.copy()                    # -(y * grad) at alpha = 0 is y
-    up = y > 0
-    low = y < 0
-    sel = np.empty(n)
+    vu = np.where(y > 0, y, -np.inf)    # -(y * grad) at alpha = 0 is y
+    vl = np.where(y < 0, y, np.inf)
     quad = np.empty(n)
-    cand = np.empty(n, dtype=bool)
+    gain = np.empty(n)
 
     for _ in range(_MAX_ITERATIONS):
-        sel.fill(-np.inf)
-        np.copyto(sel, v, where=up)
-        ii = int(np.argmax(sel))
-        m = sel[ii]
-        M = float(np.min(v, initial=np.inf, where=low))
-        if m - M <= tol:
+        ii = int(np.argmax(vu))
+        m = vu[ii]
+        if m - vl.min() <= tol:
             break
         ki = cache.row(ii)
         np.multiply(ki, -2.0, out=quad)
         quad += 2.0
         np.maximum(quad, _TAU, out=quad)
-        np.less(v, m, out=cand)
-        cand &= low
-        np.subtract(m, v, out=sel)
-        np.square(sel, out=sel)
-        sel /= quad
-        np.logical_not(cand, out=cand)
-        sel[cand] = -np.inf
-        jj = int(np.argmax(sel))
+        # second-order gain (m - v_j)^2 / quad_j of each low j with v_j < m;
+        # every other j clips to 0, below the best candidate's gain
+        np.subtract(m, vl, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        np.square(gain, out=gain)
+        gain /= quad
+        jj = int(np.argmax(gain))
         kj = cache.row(jj)
         a_quad = max(2.0 - 2.0 * ki[jj], _TAU)
-        delta = (m - v[jj]) / a_quad
+        delta = (m - vl[jj]) / a_quad
         yi, yj = y[ii], y[jj]
         bound_i = (caps[ii] - alpha[ii]) if yi > 0 else alpha[ii]
         bound_j = alpha[jj] if yj > 0 else (caps[jj] - alpha[jj])
@@ -194,20 +194,23 @@ def _smo_solve(x, y, caps, gamma, config: SolverConfig):
             alpha[jj] = 0.0 if yj > 0 else caps[jj]
         np.subtract(ki, kj, out=quad)
         quad *= delta
-        v -= quad
-        for t in (ii, jj):
+        vu -= quad
+        vl -= quad
+        for t, vt in ((ii, vu[ii]), (jj, vl[jj])):
             pos = y[t] > 0
-            up[t] = (pos and alpha[t] < caps[t]) or (not pos and alpha[t] > 0)
-            low[t] = (pos and alpha[t] > 0) or (not pos and alpha[t] < caps[t])
+            up = (pos and alpha[t] < caps[t]) or (not pos and alpha[t] > 0)
+            low = (pos and alpha[t] > 0) or (not pos and alpha[t] < caps[t])
+            vu[t] = vt if up else -np.inf
+            vl[t] = vt if low else np.inf
     else:
         warnings.warn("SMO hit the iteration cap (%d) before reaching tolerance"
                       % _MAX_ITERATIONS)
     free = (alpha > 0) & (alpha < caps)
     if free.any():
-        bias = float(np.mean(v[free]))
+        bias = float(np.mean(vu[free]))
     else:
-        hi = np.max(np.where(up, v, -np.inf))
-        lo = np.min(np.where(low, v, np.inf))
+        hi = vu.max()
+        lo = vl.min()
         if not np.isfinite(hi):
             hi = lo
         if not np.isfinite(lo):
@@ -366,17 +369,3 @@ def model_from_lines(lines: list[str]) -> SvmModel:
         kernel=KernelParams(float(header["gamma"])),
         weights=ClassWeights(float(header["c_plus"]), float(header["c_minus"])),
     )
-
-
-def save_model(model: SvmModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(model_lines(model)) + "\n")
-
-
-def load_model(path) -> SvmModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    try:
-        return model_from_lines(lines)
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from exc

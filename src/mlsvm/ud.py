@@ -131,7 +131,7 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
     trace: list = []
 
     def run_batch(cands):
-        fresh = [cand for cand in cands if cand not in scores]
+        fresh = [cand for cand in dict.fromkeys(cands) if cand not in scores]
         for cand in fresh:
             scores[cand] = evaluate(cand)
             trace.append((cand[0], cand[1], scores[cand]))

@@ -49,6 +49,26 @@ class TestImpute:
         assert rc == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt, text, where", [
+        ("delimited", "1,2,1\nnan,3,2\n1,?,1\n", "line 2 column 1"),
+        ("delimited", "1,2,1\n4,3,2\n1,-inf,1\n", "line 3 column 2"),
+        ("delimited", "1,2,1\n4,3,inf\n", "line 2 column 3"),
+        ("delimited", "1,2,nan\n4,3,2\n", "line 1 column 3"),
+        ("sparse", "1 1:2 2:1\n2 1:3 2:1e999\n", "line 2 index 2"),
+        ("sparse", "1 1:2\nnan 1:3\n", "line 2 column 1"),
+    ], ids=["nan-cell", "minus-inf-cell", "inf-label", "nan-label",
+            "sparse-overflow-cell", "sparse-nan-label"])
+    def test_non_finite_input_exits_1(self, fmt, text, where, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_text(text)
+        out = tmp_path / "out.txt"
+        rc = main(["impute", "--in", str(src), "--out", str(out),
+                   "--format", fmt, "--method", "mean"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(src) in err and where in err and "non-finite" in err
+        assert not out.exists() or "nan" not in out.read_text()
+
 
 class TestTrain:
     def test_train_then_predict_training_data(self, clean_csv, tmp_path):

@@ -3,9 +3,10 @@ import pytest
 
 import mlsvm.svm as svm_module
 from mlsvm.data import Dataset, binary_view
+from mlsvm.multilevel import load_any_model, save_any_model
 from mlsvm.svm import (ClassWeights, KernelParams, SolverConfig, SvmModel,
                        decision_values, dual_objective, kkt_violation,
-                       load_model, predict, save_model, train_svm)
+                       predict, train_svm)
 from oracles import linear_matrix, qp_dual_oracle, rbf_matrix
 
 
@@ -158,6 +159,109 @@ class TestModelInvariants:
             train_svm(view, ClassWeights(1.0, 1.0), KernelParams(1.0))
 
 
+def _reference_smo(x, y, caps, gamma, config):
+    """The solver with explicit up/low/candidate masks: the formulation that
+    svm._smo_solve must reproduce bit for bit."""
+    n = x.shape[0]
+    tol = config.kkt_tolerance
+    cache = svm_module._RowCache(x, gamma, config.cache_bytes)
+    tau = svm_module._TAU
+    alpha = np.zeros(n)
+    v = y.copy()
+    up = y > 0
+    low = y < 0
+    sel = np.empty(n)
+    quad = np.empty(n)
+    cand = np.empty(n, dtype=bool)
+    while True:
+        sel.fill(-np.inf)
+        np.copyto(sel, v, where=up)
+        ii = int(np.argmax(sel))
+        m = sel[ii]
+        M = float(np.min(v, initial=np.inf, where=low))
+        if m - M <= tol:
+            break
+        ki = cache.row(ii)
+        np.multiply(ki, -2.0, out=quad)
+        quad += 2.0
+        np.maximum(quad, tau, out=quad)
+        np.less(v, m, out=cand)
+        cand &= low
+        np.subtract(m, v, out=sel)
+        np.square(sel, out=sel)
+        sel /= quad
+        np.logical_not(cand, out=cand)
+        sel[cand] = -np.inf
+        jj = int(np.argmax(sel))
+        kj = cache.row(jj)
+        a_quad = max(2.0 - 2.0 * ki[jj], tau)
+        delta = (m - v[jj]) / a_quad
+        yi, yj = y[ii], y[jj]
+        bound_i = (caps[ii] - alpha[ii]) if yi > 0 else alpha[ii]
+        bound_j = alpha[jj] if yj > 0 else (caps[jj] - alpha[jj])
+        delta = min(delta, bound_i, bound_j)
+        alpha[ii] += yi * delta
+        alpha[jj] -= yj * delta
+        if delta == bound_i:
+            alpha[ii] = caps[ii] if yi > 0 else 0.0
+        if delta == bound_j:
+            alpha[jj] = 0.0 if yj > 0 else caps[jj]
+        np.subtract(ki, kj, out=quad)
+        quad *= delta
+        v -= quad
+        for t in (ii, jj):
+            pos = y[t] > 0
+            up[t] = (pos and alpha[t] < caps[t]) or (not pos and alpha[t] > 0)
+            low[t] = (pos and alpha[t] > 0) or (not pos and alpha[t] < caps[t])
+    free = (alpha > 0) & (alpha < caps)
+    if free.any():
+        bias = float(np.mean(v[free]))
+    else:
+        hi = np.max(np.where(up, v, -np.inf))
+        lo = np.min(np.where(low, v, np.inf))
+        if not np.isfinite(hi):
+            hi = lo
+        if not np.isfinite(lo):
+            lo = hi
+        bias = float((hi + lo) / 2.0)
+    return alpha, bias
+
+
+# rows, duplicated rows (argmax ties), balanced labels, (C+, C-), gamma;
+# tiny C with balanced labels puts every alpha at its cap (no free SV)
+REFERENCE_PROBLEMS = {
+    "duplicates": (60, True, False, (1.0, 1.0), 1.3),
+    "weighted": (150, False, False, (7.3, 0.9), 1.3),
+    "tiny-c": (80, False, True, (1e-4, 1e-4), 0.5),
+    "weighted-duplicates": (240, True, False, (7.3, 0.9), 0.2),
+}
+
+
+class TestReferenceSolver:
+    @pytest.mark.parametrize("cache_rows", [0, 3, None],
+                             ids=["no-cache", "3-row-cache", "default-cache"])
+    @pytest.mark.parametrize("kind", list(REFERENCE_PROBLEMS))
+    def test_bit_identical_to_reference(self, kind, cache_rows):
+        n, duplicated, balanced, (cp, cm), gamma = REFERENCE_PROBLEMS[kind]
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        if duplicated:
+            x[n // 2:] = x[:n - n // 2]
+        if balanced:
+            y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        else:
+            y = np.where(x[:, 0] + 0.7 * rng.normal(size=n) > 0.4, 1.0, -1.0)
+        caps = np.where(y > 0, cp, cm)
+        config = SolverConfig() if cache_rows is None \
+            else SolverConfig(cache_bytes=8 * n * cache_rows)
+        alpha, bias = svm_module._smo_solve(x, y, caps, gamma, config)
+        ref_alpha, ref_bias = _reference_smo(x, y, caps, gamma, config)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert np.float64(bias).tobytes() == np.float64(ref_bias).tobytes()
+        free = (alpha > 0) & (alpha < caps)
+        assert free.any() != (kind == "tiny-c")
+
+
 class TestPredict:
     def test_margins_match_direct_recomputation(self):
         rng = np.random.default_rng(31)
@@ -236,8 +340,8 @@ class TestModelFile:
         view = binary_view(ds, 1)
         model = train_svm(view, ClassWeights(cp, cm), KernelParams(gamma))
         path = tmp_path / "m.model"
-        save_model(model, path)
-        back = load_model(path)
+        save_any_model(model, path)
+        back = load_any_model(path)
         assert np.array_equal(back.sv_features, model.sv_features)
         assert np.array_equal(back.sv_alphas, model.sv_alphas)
         assert back.bias == model.bias
@@ -249,5 +353,5 @@ class TestModelFile:
     def test_reject_garbage(self, tmp_path):
         p = tmp_path / "bad.model"
         p.write_text("not a model\n")
-        with pytest.raises(ValueError):
-            load_model(p)
+        with pytest.raises(ValueError, match="bad.model"):
+            load_any_model(p)

@@ -65,6 +65,16 @@ class TestBudget:
             assert cfg.c_range[0] * (1 - 1e-12) <= c <= cfg.c_range[1] * (1 + 1e-12)
             assert cfg.gamma_range[0] * (1 - 1e-12) <= g <= cfg.gamma_range[1] * (1 + 1e-12)
 
+    def test_degenerate_ranges_train_one_candidate_once(self):
+        ds = overlapping_blobs(60, seed=5)
+        view = binary_view(ds, 1)
+        cfg = UdConfig(c_range=(1, 1), gamma_range=(0.5, 0.5), internal_cv_folds=3)
+        out = ud_search(view, np.arange(60), False, cfg, seed=0)
+        assert out.evaluations == 1
+        assert len(out.trace) == 1
+        assert out.c == pytest.approx(1.0) and out.gamma == pytest.approx(0.5)
+        assert out.score == cv_gmean(view, np.arange(60), out.c, out.gamma, 3, 0)
+
 
 class TestWinner:
     def test_tie_break_smallest_c_then_gamma(self):
