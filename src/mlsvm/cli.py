@@ -77,10 +77,10 @@ def _add_imputer_flags(p):
     p.add_argument("--imputer", choices=("rem", "mean", "none"), default="rem")
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--stagnation-tol", type=float, default=None)
-    p.add_argument("--cv-folds", type=int, default=None,
-                   help="CV folds for the imputer's ridge selection")
     p.add_argument("--regularization", default=None,
-                   help="'auto' (per-record CV) or a fixed nonnegative value")
+                   help="'auto' (ridge strength chosen per missingness pattern "
+                        "by generalized cross-validation) or a fixed "
+                        "nonnegative value")
 
 
 def build_parser() -> _Parser:
@@ -185,8 +185,6 @@ def _rem_config(args) -> RemConfig:
         kwargs["max_iters"] = args.max_iters
     if args.stagnation_tol is not None:
         kwargs["stagnation_tol"] = args.stagnation_tol
-    if args.cv_folds is not None:
-        kwargs["cv_folds"] = args.cv_folds
     if args.regularization is not None and args.regularization != "auto":
         kwargs["regularization"] = float(args.regularization)
     return RemConfig(**kwargs)
@@ -259,6 +257,8 @@ def cmd_impute(args) -> int:
             if diag is not None:
                 fh.write("iterations %d\n" % diag.iterations)
                 fh.write("final_change %.17g\n" % diag.final_change)
+                fh.write("ridge_counts %s\n" % " ".join(
+                    "%g:%d" % kv for kv in diag.ridge_counts.items()))
                 counts = " ".join(str(int(c)) for c in diag.missing_per_feature)
             else:
                 fh.write("iterations 0\nfinal_change 0\n")

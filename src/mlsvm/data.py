@@ -137,6 +137,9 @@ def _finite_label(path, no, column, tok):
     if not math.isfinite(value):
         raise DataFormatError("%s: line %d column %d has non-finite label %r"
                               % (path, no, column, tok))
+    if not value.is_integer():
+        raise DataFormatError("%s: line %d column %d has non-integral label %r"
+                              % (path, no, column, tok))
     return int(value)
 
 

@@ -2,11 +2,12 @@
 
 The EM imputer alternates between (a) estimating the data mean and scatter
 from the current completed matrix and (b) re-imputing each missing cell by
-ridge regression of its missing features on its observed features. The ridge
-strength is chosen per missingness pattern by K-fold cross-validation over
-contiguous row blocks (rows sharing a pattern share the same regression
-problem, so per-pattern selection is exactly per-record selection,
-deduplicated). Iteration stops when the imputed cells stagnate.
+ridge regression of its missing features on its observed features. Rows
+sharing a missingness pattern share one regression problem, so the ridge
+strength is chosen once per pattern (per-record selection, deduplicated): by
+generalized cross-validation over a fixed grid, from one eigendecomposition
+of the pattern's scaled observed block, as in RegEM (Schneider 2001).
+Iteration stops when the imputed cells stagnate.
 """
 
 from __future__ import annotations
@@ -18,23 +19,21 @@ import numpy as np
 from mlsvm.data import Dataset
 
 _DEFAULT_GRID = (1e-8, 1e-4, 1e-2, 1e-1, 1.0)
-_RESELECT_THRESHOLD = 0.1   # refresh ridge choices while imputations still move
 
 
 @dataclass(frozen=True)
 class RemConfig:
     max_iters: int = 50
     stagnation_tol: float = 1e-2
-    cv_folds: int = 5
-    regularization: float | None = None   # None = choose per pattern by CV
+    regularization: float | None = None   # None = choose per pattern by GCV
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.stagnation_tol <= 0:
             raise ValueError("stagnation_tol must be positive")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+        if self.regularization is not None and not self.regularization >= 0:
+            raise ValueError("regularization must be nonnegative")
 
 
 @dataclass
@@ -42,6 +41,7 @@ class RemDiagnostics:
     iterations: int
     final_change: float
     missing_per_feature: np.ndarray
+    ridge_counts: dict    # ridge strength -> patterns using it in the last iteration
 
 
 def _check_observed(data: Dataset) -> None:
@@ -50,13 +50,6 @@ def _check_observed(data: Dataset) -> None:
         col = int(np.argmax(counts == 0))
         name = data.feature_names[col] if data.feature_names else str(col)
         raise ValueError("feature %r has no observed values; cannot impute" % name)
-
-
-def _fold_bounds(n: int, k: int) -> list[tuple[int, int]]:
-    """Contiguous, seed-free row blocks: sizes differ by at most one."""
-    k = max(2, min(k, n))
-    edges = np.linspace(0, n, k + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(k)]
 
 
 class MeanImputer:
@@ -91,12 +84,79 @@ def mean_impute(data: Dataset) -> Dataset:
 
 
 class _PatternGroup:
-    """Missingness patterns sharing the same observed-set size, stacked."""
+    """Missingness patterns sharing the same observed-set size, with their rows."""
 
-    def __init__(self, obs_idx: np.ndarray, mis_idx: np.ndarray, pattern_ids: list):
-        self.obs_idx = obs_idx      # (P, o)
-        self.mis_idx = mis_idx      # (P, m)
-        self.pattern_ids = pattern_ids
+    def __init__(self, obs_idx, mis_idx, rows, row_pattern):
+        self.obs_idx = obs_idx            # (P, o) observed columns per pattern
+        self.mis_idx = mis_idx            # (P, m) missing columns per pattern
+        self.rows = rows                  # (r,) rows with one of these patterns
+        self.row_pattern = row_pattern    # (r,) each row's index into the P patterns
+
+
+def _group_patterns(mask: np.ndarray) -> list:
+    """Group incomplete rows by pattern, and patterns by observed-set size."""
+    p = mask.shape[1]
+    keys, inverse = np.unique(np.packbits(mask, axis=1), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    patterns = np.unpackbits(keys, axis=1, count=p).astype(bool)
+    n_obs = p - patterns.sum(axis=1)
+    row_obs = n_obs[inverse]
+    local = np.zeros(patterns.shape[0], dtype=np.int64)
+    groups = []
+    for o in np.unique(n_obs[n_obs < p]):
+        pids = np.flatnonzero(n_obs == o)
+        local[pids] = np.arange(pids.size)
+        rows = np.flatnonzero(row_obs == o)
+        pats = patterns[pids]
+        groups.append(_PatternGroup(np.nonzero(~pats)[1].reshape(pids.size, o),
+                                    np.nonzero(pats)[1].reshape(pids.size, p - o),
+                                    rows, local[inverse[rows]]))
+    return groups
+
+
+def _ridge_grid(regularization: float | None) -> tuple:
+    return _DEFAULT_GRID if regularization is None else (float(regularization),)
+
+
+def _ridge_coefficients(scatter, obs_idx, mis_idx, n, regularization):
+    """Ridge coefficients of each pattern's missing columns on its observed ones.
+
+    With A = S[O,O], R = S[O,M] and D = diag(A) floored, the system
+    (A + gamma*D) B = R is scaled to C = D^-1/2 A D^-1/2 and decomposed once,
+    C = V diag(lam) V'. With F = V' D^-1/2 R, B = D^-1/2 V diag(1/(lam+gamma)) F
+    for every gamma, and the residual sum of squares and effective degrees of
+    freedom are closed-form in (lam, F). Each pattern takes the grid value with
+    the least generalized cross-validation score RSS / (n - 1 - dof)^2 (Golub,
+    Heath & Wahba 1979); a non-positive denominator never wins. D is floored at
+    1e-10 of its mean so constant observed columns stay solvable; when gamma
+    is chosen, that floor is also added to the diagonal of A.
+
+    Returns B (P, o, m) and each pattern's ridge strength (P,).
+    """
+    o = obs_idx.shape[1]
+    A = scatter[obs_idx[:, :, None], obs_idx[:, None, :]]
+    R = scatter[obs_idx[:, :, None], mis_idx[:, None, :]]
+    D = np.einsum("pii->pi", A)
+    floor = 1e-10 * (np.abs(D).sum(axis=1) / max(o, 1) + 1.0)
+    d = np.sqrt(np.maximum(D, floor[:, None]))
+    if regularization is None:
+        A[:, np.arange(o), np.arange(o)] += floor[:, None]
+    grid = np.asarray(_ridge_grid(regularization))
+    lam, V = np.linalg.eigh(A / (d[:, :, None] * d[:, None, :]))
+    tol = max(o, 1) * np.finfo(np.float64).eps * np.abs(lam).max(axis=1, initial=0.0)
+    if (lam.min(axis=1, initial=np.inf) + grid.max() <= tol).any():
+        raise ValueError("regression system is singular; set a nonzero regularization")
+    F = np.swapaxes(V, 1, 2) @ (R / d[:, :, None])
+    lam_g = lam[:, :, None] + grid
+    fit = (np.einsum("pjm,pjm->pj", F, F)[:, :, None]
+           * (lam_g + grid) / lam_g ** 2).sum(axis=1)
+    rss = np.diag(scatter)[mis_idx].sum(axis=1)[:, None] - fit
+    denom = n - 1 - (lam[:, :, None] / lam_g).sum(axis=1)
+    gcv = np.where(denom > 0, rss / np.where(denom > 0, denom, 1.0) ** 2, np.inf)
+    pick = np.argmin(gcv, axis=1)
+    pick[np.isinf(gcv).all(axis=1)] = grid.size - 1
+    gamma = grid[pick]
+    return (V / d[:, :, None]) @ (F / (lam + gamma[:, None])[:, :, None]), gamma
 
 
 class RemImputer:
@@ -109,13 +169,11 @@ class RemImputer:
 
     def __init__(self, config: RemConfig | None = None):
         self.config = config or RemConfig()
+        self.n_ = None                # training rows behind mean_ and scatter_
         self.mean_ = None
         self.scatter_ = None          # centered cross-product matrix (p x p)
-        self.fold_scatters_ = None    # per-CV-block scatter pieces
         self.completed_ = None
         self.diagnostics_ = None
-        self._fold_rows = None
-        self._gamma_cache = {}
 
     # -- fitting ------------------------------------------------------------
 
@@ -129,24 +187,21 @@ class RemImputer:
         rows_mis, cols_mis = np.nonzero(mask)
         x[rows_mis, cols_mis] = col_means[cols_mis]
 
-        n = data.n_rows
-        if n < 2:
+        if data.n_rows < 2:
             raise ValueError("need at least 2 rows to fit the EM imputer")
         iterations = 0
         final_change = 0.0
+        gammas = np.empty(0)
         if mask.any():
-            groups = self._group_patterns(mask)
+            groups = _group_patterns(mask)
             prev = x[rows_mis, cols_mis].copy()
-            last_change = np.inf
             for it in range(cfg.max_iters):
                 self._estimate(x)
-                self._impute_into(x, mask, groups,
-                                  reuse_gammas=last_change < _RESELECT_THRESHOLD)
+                gammas = self._impute_into(x, groups)
                 iterations = it + 1
                 cur = x[rows_mis, cols_mis]
                 denom = max(float(np.linalg.norm(cur)), 1e-300)
                 final_change = float(np.linalg.norm(cur - prev)) / denom
-                last_change = final_change
                 prev = cur.copy()
                 if final_change < cfg.stagnation_tol:
                     break
@@ -159,6 +214,8 @@ class RemImputer:
             iterations=iterations,
             final_change=final_change,
             missing_per_feature=mask.sum(axis=0),
+            ridge_counts={g: int(np.count_nonzero(gammas == g))
+                          for g in _ridge_grid(cfg.regularization)},
         )
         return self
 
@@ -172,8 +229,7 @@ class RemImputer:
             return data
         mask = data.missing
         x = np.where(mask, 0.0, data.features)
-        groups = self._group_patterns(mask)
-        self._impute_into(x, mask, groups)
+        self._impute_into(x, _group_patterns(mask))
         out = data.features.copy()
         rows_mis, cols_mis = np.nonzero(mask)
         out[rows_mis, cols_mis] = x[rows_mis, cols_mis]
@@ -183,113 +239,29 @@ class RemImputer:
     # -- internals ----------------------------------------------------------
 
     def _estimate(self, x: np.ndarray) -> None:
-        n = x.shape[0]
+        self.n_ = x.shape[0]
         self.mean_ = x.mean(axis=0)
         xc = x - self.mean_
         self.scatter_ = xc.T @ xc
-        self._fold_rows = _fold_bounds(n, self.config.cv_folds)
-        self.fold_scatters_ = [xc[a:b].T @ xc[a:b] for a, b in self._fold_rows]
 
     @property
     def covariance_(self) -> np.ndarray:
-        n_eff = max(sum(b - a for a, b in self._fold_rows), 2)
-        return self.scatter_ / (n_eff - 1)
+        return self.scatter_ / (self.n_ - 1)
 
-    @staticmethod
-    def _group_patterns(mask: np.ndarray):
-        patterns, inverse = np.unique(mask, axis=0, return_inverse=True)
-        p = mask.shape[1]
-        by_size: dict[int, list] = {}
-        row_lists: dict[int, np.ndarray] = {}
-        for pid in range(patterns.shape[0]):
-            pat = patterns[pid]
-            if not pat.any():
-                continue
-            row_lists[pid] = np.flatnonzero(inverse == pid)
-            o = np.flatnonzero(~pat)
-            by_size.setdefault(o.size, []).append(pid)
-        groups = []
-        for osize, pids in sorted(by_size.items()):
-            obs = np.stack([np.flatnonzero(~patterns[pid]) for pid in pids]) \
-                if osize else np.zeros((len(pids), 0), dtype=np.int64)
-            mis = np.stack([np.flatnonzero(patterns[pid]) for pid in pids])
-            groups.append(_PatternGroup(obs.astype(np.int64), mis.astype(np.int64),
-                                        pids))
-        return groups, row_lists, inverse
-
-    def _select_gammas(self, group: _PatternGroup) -> np.ndarray:
-        """CV error per ridge strength, accumulated over folds; argmin per pattern."""
-        cfg = self.config
-        if cfg.regularization is not None:
-            return np.full(len(group.pattern_ids), float(cfg.regularization))
-        grid = np.asarray(_DEFAULT_GRID, dtype=np.float64)
-        P, o = group.obs_idx.shape
-        if o == 0:
-            return np.full(P, grid[0])
-        O, M = group.obs_idx, group.mis_idx
-        errs = np.zeros((P, grid.size))
-        for s_f in self.fold_scatters_:
-            s_tr = self.scatter_ - s_f
-            A = s_tr[O[:, :, None], O[:, None, :]]
-            R = s_tr[O[:, :, None], M[:, None, :]]
-            Smm = s_f[M[:, :, None], M[:, None, :]]
-            Som = s_f[O[:, :, None], M[:, None, :]]
-            Soo = s_f[O[:, :, None], O[:, None, :]]
-            D = np.einsum("pii->pi", A)
-            floor = 1e-10 * (np.abs(D).mean(axis=1) + 1.0)
-            tr_mm = np.einsum("pii->p", Smm)
-            for gi, g in enumerate(grid):
-                B = self._ridge_solve(A, D, R, g, floor)
-                SooB = Soo @ B
-                errs[:, gi] += (tr_mm
-                                - 2.0 * np.einsum("pom,pom->p", B, Som)
-                                + np.einsum("pom,pom->p", B, SooB))
-        return grid[np.argmin(errs, axis=1)]
-
-    def _ridge_solve(self, A, D, R, gamma, floor):
-        o = A.shape[1]
-        Ag = A.copy()
-        idx = np.arange(o)
-        Ag[:, idx, idx] += gamma * D + floor[:, None]
-        try:
-            return np.linalg.solve(Ag, R)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "regression system is singular; set a nonzero regularization"
-            ) from exc
-
-    def _impute_into(self, x, mask, grouped, reuse_gammas: bool = False) -> None:
-        groups, row_lists, _ = grouped
+    def _impute_into(self, x: np.ndarray, groups: list) -> np.ndarray:
+        """Regress every incomplete row's missing cells; return the ridge strengths."""
         mu = self.mean_
-        if not reuse_gammas:
-            self._gamma_cache = {}
-        for gi, group in enumerate(groups):
-            if gi in self._gamma_cache:
-                gammas = self._gamma_cache[gi]
-            else:
-                gammas = self._select_gammas(group)
-                self._gamma_cache[gi] = gammas
-            P, o = group.obs_idx.shape
-            if o == 0:
-                for i, pid in enumerate(group.pattern_ids):
-                    m_idx = group.mis_idx[i]
-                    x[np.ix_(row_lists[pid], m_idx)] = mu[m_idx]
-                continue
-            O, M = group.obs_idx, group.mis_idx
-            A = self.scatter_[O[:, :, None], O[:, None, :]]
-            R = self.scatter_[O[:, :, None], M[:, None, :]]
-            D = np.einsum("pii->pi", A)
-            floor = np.zeros(P) if self.config.regularization is not None \
-                else 1e-10 * (np.abs(D).mean(axis=1) + 1.0)
-            B = np.empty_like(R)
-            for g in np.unique(gammas):
-                sel = gammas == g
-                B[sel] = self._ridge_solve(A[sel], D[sel], R[sel], g, floor[sel])
-            for i, pid in enumerate(group.pattern_ids):
-                rows = row_lists[pid]
-                m_idx = M[i]
-                o_idx = O[i]
-                x[np.ix_(rows, m_idx)] = mu[m_idx] + (x[np.ix_(rows, o_idx)] - mu[o_idx]) @ B[i]
+        gammas = []
+        for g in groups:
+            B, gamma = _ridge_coefficients(self.scatter_, g.obs_idx, g.mis_idx,
+                                           self.n_, self.config.regularization)
+            O = g.obs_idx[g.row_pattern]
+            M = g.mis_idx[g.row_pattern]
+            rows = g.rows[:, None]
+            xo = (x[rows, O] - mu[O])[:, None, :]
+            x[rows, M] = mu[M] + (xo @ B[g.row_pattern])[:, 0, :]
+            gammas.append(gamma)
+        return np.concatenate(gammas) if gammas else np.empty(0)
 
 
 def rem_impute(data: Dataset, config: RemConfig | None = None):

@@ -69,6 +69,32 @@ class TestImpute:
         assert str(src) in err and where in err and "non-finite" in err
         assert not out.exists() or "nan" not in out.read_text()
 
+    def test_fractional_label_exits_1_no_output(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text("1,1\n2,1.9\n3,2\n4,2.5\n")
+        out = tmp_path / "out.csv"
+        rc = main(["impute", "--in", str(src), "--out", str(out),
+                   "--method", "mean"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(src) in err and "line 2 column 2" in err
+        assert "non-integral" in err
+        assert not out.exists()
+
+    def test_rem_report_lists_ridge_counts_in_grid_order(self, noisy_csv,
+                                                         tmp_path):
+        rep = tmp_path / "rep.txt"
+        assert main(["impute", "--in", noisy_csv, "--out",
+                     str(tmp_path / "full.csv"), "--report", str(rep)]) == 0
+        lines = [ln.split() for ln in rep.read_text().splitlines()]
+        ridge = [ln[1:] for ln in lines if ln[0] == "ridge_counts"]
+        assert len(ridge) == 1
+        pairs = [kv.split(":") for kv in ridge[0]]
+        assert [float(g) for g, _ in pairs] == [1e-8, 1e-4, 1e-2, 1e-1, 1.0]
+        ds = load_dataset(noisy_csv)
+        patterns = np.unique(ds.missing[ds.missing.any(axis=1)], axis=0)
+        assert sum(int(c) for _, c in pairs) == len(patterns)
+
 
 class TestTrain:
     def test_train_then_predict_training_data(self, clean_csv, tmp_path):
@@ -235,6 +261,21 @@ class TestSolverFlags:
                        str(tmp_path / "m.model")] + removed)
             assert rc == 1, removed
             assert "usage error" in capsys.readouterr().err
+
+    def test_removed_imputer_cv_folds_is_usage_error(self, noisy_csv, tmp_path,
+                                                     capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cv_folds = 5\n")
+        for argv in (["impute", "--in", noisy_csv, "--out",
+                      str(tmp_path / "full.csv"), "--cv-folds", "5"],
+                     ["train", "--in", noisy_csv, "--model",
+                      str(tmp_path / "m.model"), "--cv-folds", "5"],
+                     ["impute", "--in", noisy_csv, "--out",
+                      str(tmp_path / "full.csv"), "--config", str(cfg)]):
+            assert main(argv) == 1, argv
+            assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "full.csv").exists()
+        assert not (tmp_path / "m.model").exists()
 
 
 class TestHelp:

@@ -53,6 +53,22 @@ class TestLoadDelimited:
             load_dataset(p, label_column="nope")
 
 
+    def test_integral_float_labels_accepted(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,1.0\n2,2\n3,-1.0\n")
+        assert load_dataset(p).labels.tolist() == [1, 2, -1]
+
+    @pytest.mark.parametrize("fmt, text, where", [
+        ("delimited", "1,1\n2,1.9\n3,2\n4,2.5\n", "line 2 column 2"),
+        ("sparse", "1 1:1\n2.5 1:2\n", "line 2 column 1"),
+    ], ids=["delimited", "sparse"])
+    def test_fractional_label_rejected(self, fmt, text, where, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=where + " has non-integral"):
+            load_dataset(p, fmt)
+
+
 class TestLoadSparse:
     def test_absent_indices_are_zero_not_missing(self, tmp_path):
         p = tmp_path / "d.sp"
