@@ -22,25 +22,22 @@ from mlsvm.evaluation import (
 from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, mean_impute, rem_impute
 from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph, knn_recall
 from mlsvm.metrics import ConfusionMatrix, Metrics, compute_metrics, stratified_folds
-from mlsvm.multilevel import (
-    EnsembleModel,
-    FrameworkConfig,
-    Hierarchy,
-    load_any_model,
-    predict_model,
-    save_any_model,
-    train_multilevel,
-)
+from mlsvm.multilevel import FrameworkConfig, Hierarchy, train_multilevel
 from mlsvm.svm import (
     ClassWeights,
     KernelParams,
     SolverConfig,
     SvmModel,
     dual_objective,
+    load_any_model,
     predict,
+    save_any_model,
     train_svm,
 )
 from mlsvm.ud import UdConfig, UdOutcome, ud_search
+
+# Older name kept for existing callers: the same object as predict, not a wrapper.
+predict_model = predict
 
 __version__ = "0.1.0"
 
@@ -50,7 +47,6 @@ __all__ = [
     "ClassWeights",
     "ConfusionMatrix",
     "Dataset",
-    "EnsembleModel",
     "EvalReport",
     "FrameworkConfig",
     "Hierarchy",

@@ -17,11 +17,11 @@ from mlsvm.data import (DataFormatError, binary_view, load_dataset,
 from mlsvm.evaluation import (METHODS, BenchmarkPlan, default_positive_class,
                               format_one_vs_all_table, one_against_all,
                               run_benchmark, run_cv)
-from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, rem_impute
+from mlsvm.imputation import IMPUTERS, RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
-from mlsvm.multilevel import (FrameworkConfig, load_any_model, predict_model,
-                              save_any_model, train_multilevel)
-from mlsvm.svm import KernelParams, SolverConfig, class_weights, train_svm
+from mlsvm.multilevel import FrameworkConfig, train_multilevel
+from mlsvm.svm import (KernelParams, SolverConfig, class_weights, load_any_model,
+                       predict, save_any_model, train_svm)
 from mlsvm.ud import UdConfig, ud_search
 
 
@@ -67,14 +67,16 @@ def _add_method_flags(p):
     p.add_argument("--neighbor-expansion", type=int, default=None)
     p.add_argument("--p-fraction", type=float, default=None,
                    help="fraction of opposite clusters each cluster pairs with")
-    p.add_argument("--final", choices=("retrain", "ensemble"), default=None,
-                   help="level-0 cluster-mode combination rule")
     p.add_argument("--kkt-tol", type=float, default=None)
     p.add_argument("--cache-mb", type=int, default=None, help="kernel cache budget")
 
 
 def _add_imputer_flags(p):
-    p.add_argument("--imputer", choices=("rem", "mean", "none"), default="rem")
+    p.add_argument("--imputer", choices=IMPUTERS, default="rem")
+    _add_rem_flags(p)
+
+
+def _add_rem_flags(p):
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--stagnation-tol", type=float, default=None)
     p.add_argument("--regularization", default=None,
@@ -89,7 +91,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("impute", help="fill missing values and write a complete file")
     _add_io_flags(p)
-    _add_imputer_flags(p)
+    _add_rem_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=("rem", "mean"), default="rem")
     p.add_argument("--report", default=None, help="diagnostics output path")
@@ -238,18 +240,13 @@ def _fw_config(args) -> FrameworkConfig:
         kwargs["neighbor_expansion"] = args.neighbor_expansion
     if args.p_fraction is not None:
         kwargs["p_fraction"] = args.p_fraction
-    if args.final is not None:
-        kwargs["final"] = args.final
     return FrameworkConfig(**kwargs)
 
 
 def cmd_impute(args) -> int:
     data = _load(args)
-    if args.method == "rem":
-        completed, diag = rem_impute(data, _rem_config(args))
-    else:
-        completed = MeanImputer().fit(data).transform(data)
-        diag = None
+    imp, completed = fit_imputer(args.method, data, _rem_config(args))
+    diag = imp.diagnostics_ if args.method == "rem" else None
     write_dataset(completed, args.out, args.format, delimiter=args.delimiter,
                   missing_token=args.missing_token)
     if args.report:
@@ -267,19 +264,10 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def _prepare_training_data(args, data):
-    if data.has_missing():
-        if args.imputer == "none":
-            raise ValueError("input has missing cells; impute first or pick "
-                             "--imputer rem|mean")
-        imp = RemImputer(_rem_config(args)) if args.imputer == "rem" else MeanImputer()
-        imp.fit(data)
-        data = imp.completed_ if isinstance(imp, RemImputer) else imp.transform(data)
-    return data
-
-
 def cmd_train(args) -> int:
-    data = _prepare_training_data(args, _load(args))
+    data = _load(args)
+    if data.has_missing():
+        data = fit_imputer(args.imputer, data, _rem_config(args))[1]
     positive = args.positive_class
     if positive is None:
         positive = default_positive_class(data)
@@ -319,7 +307,7 @@ def cmd_predict(args) -> int:
     data = _load(args)
     if data.has_missing():
         raise ValueError("prediction input has missing cells; impute first")
-    labels, margins = predict_model(model, data.features)
+    labels, margins = predict(model, data.features)
     with open(args.out, "w", encoding="utf-8") as fh:
         for lab, marg in zip(labels, margins):
             fh.write("%d %.17g\n" % (int(lab), marg))

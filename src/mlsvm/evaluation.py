@@ -16,16 +16,15 @@ import numpy as np
 
 from mlsvm.data import (Dataset, apply_normalization, binary_view,
                         fit_normalization, inject_missing, take_rows)
-from mlsvm.imputation import MeanImputer, RemConfig, RemImputer
+from mlsvm.imputation import IMPUTERS, RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
 from mlsvm.metrics import ConfusionMatrix, Metrics, compute_metrics, stratified_folds
-from mlsvm.multilevel import FrameworkConfig, predict_model, train_multilevel
+from mlsvm.multilevel import FrameworkConfig, train_multilevel
 from mlsvm.rng import child_rng
-from mlsvm.svm import KernelParams, SolverConfig, train_svm
+from mlsvm.svm import KernelParams, SolverConfig, predict, train_svm
 from mlsvm.ud import UdConfig, ud_search
 
 METHODS = ("svm", "wsvm", "mlsvm", "mlwsvm")
-IMPUTERS = ("rem", "mean", "none")
 
 
 @dataclass
@@ -107,14 +106,6 @@ def default_positive_class(data: Dataset) -> int:
     return data.class_names[counts[0][1]]
 
 
-def _make_imputer(imputer: str, rem_config: RemConfig | None):
-    if imputer == "rem":
-        return RemImputer(rem_config)
-    if imputer == "mean":
-        return MeanImputer()
-    return None
-
-
 def run_cv(data: Dataset, positive_class: int, method: str,
            imputer: str = "rem", folds: int = 10, seed: int = 0, *,
            knn_config: KnnConfig | None = None,
@@ -128,6 +119,8 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         raise ValueError("unknown method %r" % method)
     if imputer not in IMPUTERS:
         raise ValueError("unknown imputer %r" % imputer)
+    if imputer == "none" and data.has_missing():
+        raise ValueError("imputer='none' but the data has missing cells")
     if normalize_scope not in ("fold", "global"):
         raise ValueError("normalize_scope must be 'fold' or 'global'")
     if positive_class not in data.class_names:
@@ -149,14 +142,8 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         seconds = {"impute": 0.0, "hierarchy": 0.0, "train": 0.0, "predict": 0.0}
 
         t0 = time.perf_counter()
-        imp = _make_imputer(imputer, rem_config)
-        if imp is None:
-            if train_ds.has_missing() or test_ds.has_missing():
-                raise ValueError("imputer='none' but the data has missing cells")
-        else:
-            imp.fit(train_ds)
-            train_ds = imp.completed_ if isinstance(imp, RemImputer) \
-                else imp.transform(train_ds)
+        imp, train_ds = fit_imputer(imputer, train_ds, rem_config)
+        if imp is not None:
             test_ds = imp.transform(test_ds)
         seconds["impute"] = time.perf_counter() - t0
 
@@ -179,7 +166,7 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         seconds["train"] = time.perf_counter() - t0 - seconds["hierarchy"]
 
         t0 = time.perf_counter()
-        pred, _ = predict_model(model, test_ds.features)
+        pred, _ = predict(model, test_ds.features)
         seconds["predict"] = time.perf_counter() - t0
         y_test = np.where(test_ds.labels == positive_class, 1, -1)
         cm = ConfusionMatrix.from_predictions(y_test, pred)

@@ -19,6 +19,7 @@ import numpy as np
 from mlsvm.data import Dataset
 
 _DEFAULT_GRID = (1e-8, 1e-4, 1e-2, 1e-1, 1.0)
+IMPUTERS = ("rem", "mean", "none")
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,27 @@ class RemImputer:
             x[rows, M] = mu[M] + (xo @ B[g.row_pattern])[:, 0, :]
             gammas.append(gamma)
         return np.concatenate(gammas) if gammas else np.empty(0)
+
+
+def fit_imputer(kind: str, data: Dataset, config: RemConfig | None = None):
+    """Fit the named imputer on data; return it and data completed by it.
+
+    REM completes the training rows by its EM iterations, the mean imputer
+    by transform. Kind "none" returns (None, data) and raises ValueError if
+    data has missing cells.
+    """
+    if kind == "none":
+        if data.has_missing():
+            raise ValueError("input has missing cells; impute first or pick "
+                             "the rem or mean imputer")
+        return None, data
+    if kind == "rem":
+        imp = RemImputer(config).fit(data)
+        return imp, imp.completed_
+    if kind == "mean":
+        imp = MeanImputer().fit(data)
+        return imp, imp.transform(data)
+    raise ValueError("unknown imputer %r; expected one of %s" % (kind, IMPUTERS))
 
 
 def rem_impute(data: Dataset, config: RemConfig | None = None):

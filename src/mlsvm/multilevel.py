@@ -23,8 +23,7 @@ from mlsvm.clustering import kmeans
 from mlsvm.data import BinaryView, Dataset
 from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
 from mlsvm.rng import child_rng
-from mlsvm.svm import (KernelParams, SolverConfig, class_weights, decision_values,
-                       model_from_lines, model_lines, predict, train_svm)
+from mlsvm.svm import KernelParams, SolverConfig, SvmModel, class_weights, train_svm
 from mlsvm.ud import UdConfig, ud_search
 
 _STALL_SHRINK = 0.05     # stop coarsening when a level shrinks less than this
@@ -37,7 +36,6 @@ class FrameworkConfig:
     q_dt: int = 5000               # direct-retrain threshold in refinement
     neighbor_expansion: int = 5    # fine neighbors added per support vector
     p_fraction: float = 0.10       # fraction of opposite clusters paired
-    final: str = "retrain"         # level-0 cluster mode: retrain | ensemble
     seed: int = 0
 
     def __post_init__(self):
@@ -49,8 +47,6 @@ class FrameworkConfig:
             raise ValueError("q_dt must be >= coarsest_max")
         if not 0 < self.p_fraction <= 1:
             raise ValueError("p_fraction must be in (0, 1]")
-        if self.final not in ("retrain", "ensemble"):
-            raise ValueError("final must be 'retrain' or 'ensemble'")
 
 
 @dataclass
@@ -89,7 +85,7 @@ class LevelSolution:
     support_rows: np.ndarray
     c: float
     gamma: float
-    model: object = None        # SvmModel or EnsembleModel at level 0
+    model: SvmModel | None = None   # None at cluster-mode levels above 0
     n_clusters: tuple | None = None      # (positive, negative) in cluster mode
     n_pairs: int | None = None
 
@@ -110,7 +106,6 @@ class MultilevelReport:
     levels: list = field(default_factory=list)     # processing order
     stalled: bool = False
     hierarchy_seconds: float = 0.0
-    total_seconds: float = 0.0
 
     def format_table(self) -> str:
         lines = ["level\tn_pos\tn_neg\tn_sv\tC\tgamma\tseconds"]
@@ -121,110 +116,6 @@ class MultilevelReport:
         if self.stalled:
             lines.append("# coarsening stalled before reaching the size bound")
         return "\n".join(lines) + "\n"
-
-
-class EnsembleModel:
-    """Pair models from level-0 cluster training, routed by nearest centroid.
-
-    A query is answered by the largest-|margin| pair model among the pairs
-    that involve the query's nearest cluster.
-    """
-
-    def __init__(self, models, pairs, centroids, centroid_signs):
-        self.models = models
-        self.pairs = pairs                    # (pos_cluster, neg_cluster) ids
-        self.centroids = centroids            # stacked pos then neg centroids
-        self.centroid_signs = centroid_signs  # +1 for pos clusters, -1 for neg
-        self.n_features = centroids.shape[1]
-        n_pos = int((centroid_signs > 0).sum())
-        self._models_by_centroid = [[] for _ in range(centroids.shape[0])]
-        for mi, (ci, cj) in enumerate(pairs):
-            self._models_by_centroid[ci].append(mi)
-            self._models_by_centroid[n_pos + cj].append(mi)
-
-    def predict(self, points: np.ndarray):
-        points = np.asarray(points, dtype=np.float64)
-        d2 = ((points[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argmin(d2, axis=1)
-        margins = np.zeros(points.shape[0])
-        for cid in np.unique(nearest):
-            sel = np.flatnonzero(nearest == cid)
-            cand = self._models_by_centroid[cid]
-            vals = np.stack([decision_values(self.models[mi], points[sel])
-                             for mi in cand])
-            pick = np.argmax(np.abs(vals), axis=0)
-            margins[sel] = vals[pick, np.arange(sel.size)]
-        labels = np.where(margins > 0, 1.0, -1.0)
-        return labels, margins
-
-
-def predict_model(model, points: np.ndarray):
-    """Labels and margins from either a plain SVM model or an ensemble."""
-    if isinstance(model, EnsembleModel):
-        return model.predict(points)
-    return predict(model, points)
-
-
-def save_any_model(model, path) -> None:
-    """Write a plain model or an ensemble; files are self-describing."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if not isinstance(model, EnsembleModel):
-            fh.write("\n".join(model_lines(model)) + "\n")
-            return
-        fh.write("mlsvm-ensemble v1\n")
-        fh.write("n_features %d\n" % model.n_features)
-        fh.write("n_centroids %d\n" % model.centroids.shape[0])
-        for i in range(model.centroids.shape[0]):
-            feats = " ".join("%.17g" % v for v in model.centroids[i])
-            fh.write("centroid %d %s\n" % (int(model.centroid_signs[i]), feats))
-        fh.write("n_models %d\n" % len(model.models))
-        for (ci, cj), sub in zip(model.pairs, model.models):
-            fh.write("pair %d %d\n" % (ci, cj))
-            fh.write("\n".join(model_lines(sub)) + "\n")
-            fh.write("end-model\n")
-
-
-def load_any_model(path):
-    """Read a file written by save_any_model; a malformed file raises
-    ValueError naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    try:
-        return _model_from_file_lines(lines)
-    except IndexError as exc:
-        raise ValueError("%s: truncated or malformed model file" % path) from exc
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from exc
-
-
-def _model_from_file_lines(lines):
-    if not lines:
-        raise ValueError("empty model file")
-    if lines[0] == "mlsvm-model v1":
-        return model_from_lines(lines)
-    if lines[0] != "mlsvm-ensemble v1":
-        raise ValueError("not a model file")
-    idx = 1
-    n_features = int(lines[idx].split()[1]); idx += 1
-    n_centroids = int(lines[idx].split()[1]); idx += 1
-    centroids = np.zeros((n_centroids, n_features))
-    signs = np.zeros(n_centroids)
-    for i in range(n_centroids):
-        toks = lines[idx].split(); idx += 1
-        signs[i] = float(toks[1])
-        centroids[i] = [float(t) for t in toks[2:]]
-    n_models = int(lines[idx].split()[1]); idx += 1
-    pairs = []
-    models = []
-    for _ in range(n_models):
-        toks = lines[idx].split(); idx += 1
-        pairs.append((int(toks[1]), int(toks[2])))
-        block = []
-        while lines[idx] != "end-model":
-            block.append(lines[idx]); idx += 1
-        idx += 1
-        models.append(model_from_lines(block))
-    return EnsembleModel(models, pairs, centroids, signs)
 
 
 def pair_clusters(dist: np.ndarray, p_fraction: float) -> list:
@@ -362,7 +253,8 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
     neighbor_expansion of each one's nearest neighbors at this level. Small
     sets re-run model selection around the inherited (C, gamma) and retrain
     directly; large sets inherit (C, gamma) unchanged and train paired
-    opposite-class clusters whose support vectors are merged.
+    opposite-class clusters whose support vectors are merged. At level 0 the
+    merged support vectors are retrained as one model.
     """
     config = config or FrameworkConfig()
     solver_config = solver_config or SolverConfig()
@@ -419,14 +311,9 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
 
     final_model = None
     if level == 0:
-        if config.final == "retrain":
-            final_model = train_svm(view, class_weights(c, weighted, y_all[support]),
-                                    KernelParams(gamma), solver_config, support)
-            support = np.sort(final_model.sv_rows)
-        else:
-            centroids = np.vstack([cen_pos, cen_neg])
-            signs = np.concatenate([np.ones(k_pos), -np.ones(k_neg)])
-            final_model = EnsembleModel(models, pairs, centroids, signs)
+        final_model = train_svm(view, class_weights(c, weighted, y_all[support]),
+                                KernelParams(gamma), solver_config, support)
+        support = np.sort(final_model.sv_rows)
     return LevelSolution(support_rows=support, c=c, gamma=gamma,
                          model=final_model, n_clusters=(k_pos, k_neg),
                          n_pairs=len(pairs))
@@ -439,9 +326,8 @@ def train_multilevel(data: Dataset, view: BinaryView, weighted: bool = False,
                      config: FrameworkConfig | None = None):
     """Full V-cycle: hierarchy, coarsest solve, refinement back to level 0.
 
-    Returns the finest-level model (a plain SVM model, or an ensemble when
-    level 0 trains in cluster mode with final='ensemble') and a report of
-    per-level sizes, hyperparameters, and times.
+    Returns the level-0 SVM model and a report of per-level sizes,
+    hyperparameters, and times.
     """
     config = config or FrameworkConfig()
     report = MultilevelReport()
@@ -469,5 +355,4 @@ def train_multilevel(data: Dataset, view: BinaryView, weighted: bool = False,
             level=level, n_pos=lvl.pos_rows.size, n_neg=lvl.neg_rows.size,
             n_sv=solution.support_rows.size, c=solution.c, gamma=solution.gamma,
             seconds=time.perf_counter() - t0))
-    report.total_seconds = time.perf_counter() - t_start
     return solution.model, report

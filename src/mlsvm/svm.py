@@ -310,8 +310,8 @@ def kkt_violation(model: SvmModel, view: BinaryView, rows=None) -> float:
     return worst
 
 
-def model_lines(model: SvmModel) -> list[str]:
-    """Model as structured text lines (17 significant digits)."""
+def save_any_model(model: SvmModel, path) -> None:
+    """Write the model as structured text lines (17 significant digits)."""
     lines = [
         "mlsvm-model v1",
         "kernel rbf",
@@ -326,13 +326,24 @@ def model_lines(model: SvmModel) -> list[str]:
         feats = " ".join("%.17g" % v for v in model.sv_features[i])
         lines.append("sv %d %.17g %s" % (int(model.sv_labels[i]),
                                          model.sv_alphas[i], feats))
-    return lines
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def model_from_lines(lines: list[str]) -> SvmModel:
-    """Parse one model block; any malformed or missing line raises ValueError."""
+def load_any_model(path) -> SvmModel:
+    """Read a file written by save_any_model; a malformed file, or any header
+    other than mlsvm-model v1, raises ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        return _model_from_lines(lines)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc
+
+
+def _model_from_lines(lines: list[str]) -> SvmModel:
     if not lines or lines[0] != "mlsvm-model v1":
-        raise ValueError("not a model block")
+        raise ValueError("not an mlsvm-model v1 file")
     header = {}
     sv_lines = []
     for ln in lines[1:]:
@@ -347,7 +358,7 @@ def model_from_lines(lines: list[str]) -> SvmModel:
     absent = [k for k in ("gamma", "c_plus", "c_minus", "bias", "n_features", "n_sv")
               if k not in header]
     if absent:
-        raise ValueError("model block lacks %s" % ", ".join(absent))
+        raise ValueError("model file lacks %s" % ", ".join(absent))
     n_features = int(header["n_features"])
     n_sv = int(header["n_sv"])
     if len(sv_lines) != n_sv:

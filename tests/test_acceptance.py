@@ -17,8 +17,7 @@ from mlsvm.evaluation import run_cv
 from mlsvm.imputation import RemImputer, mean_impute, rem_impute
 from mlsvm.knn import KnnConfig, build_knn_graph
 from mlsvm.metrics import ConfusionMatrix, compute_metrics, stratified_folds
-from mlsvm.multilevel import (FrameworkConfig, coarsen_class, predict_model,
-                              train_multilevel)
+from mlsvm.multilevel import FrameworkConfig, coarsen_class, train_multilevel
 from mlsvm.rng import child_rng
 from mlsvm.svm import (ClassWeights, KernelParams, dual_objective,
                        kkt_violation, predict, train_svm)
@@ -226,7 +225,7 @@ def test_criterion_08_weighted_multilevel_helps_minority():
     for method, weighted in (("mlsvm", False), ("mlwsvm", True)):
         model, _ = train_multilevel(train_ds, view, weighted, KnnConfig(),
                                     TWONORM_UD, None, fw)
-        pred, _ = predict_model(model, test_ds.features)
+        pred, _ = predict(model, test_ds.features)
         y_test = np.where(test_ds.labels == 1, 1, -1)
         m = compute_metrics(ConfusionMatrix.from_predictions(y_test, pred))
         scores[method] = m

@@ -31,8 +31,9 @@ class TestImpute:
         rc = main(["impute", "--in", noisy_csv, "--out", out, "--method", "rem",
                    "--report", str(tmp_path / "rep.txt")])
         assert rc == 0
-        assert "?" not in open(out).read()
-        assert "iterations" in open(tmp_path / "rep.txt").read()
+        with open(out) as fh:
+            assert "?" not in fh.read()
+        assert "iterations" in (tmp_path / "rep.txt").read_text()
 
     def test_mean_matches_library_oracle(self, noisy_csv, tmp_path):
         out = str(tmp_path / "full.csv")
@@ -41,6 +42,14 @@ class TestImpute:
         got = load_dataset(out)
         expected = mean_impute(load_dataset(noisy_csv))
         assert np.allclose(got.features, expected.features)
+
+    def test_imputer_flag_is_usage_error(self, noisy_csv, tmp_path, capsys):
+        out = tmp_path / "full.csv"
+        rc = main(["impute", "--in", noisy_csv, "--out", str(out),
+                   "--imputer", "mean"])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_path_exits_1_no_partial_output(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -107,7 +116,8 @@ class TestTrain:
                      "--out", preds]) == 0
         ds = load_dataset(clean_csv)
         want = np.where(ds.labels == 1, 1, -1)
-        got = np.array([int(ln.split()[0]) for ln in open(preds)])
+        with open(preds) as fh:
+            got = np.array([int(ln.split()[0]) for ln in fh])
         assert (got == want).mean() >= 0.99
 
     def test_multilevel_report_lists_levels(self, tmp_path):
@@ -129,14 +139,16 @@ class TestTrain:
                 "--ud-folds", "3", "--seed", "9"]
         assert main(args + ["--model", m1]) == 0
         assert main(args + ["--model", m2]) == 0
-        assert open(m1).read() == open(m2).read()
+        with open(m1) as f1, open(m2) as f2:
+            assert f1.read() == f2.read()
 
     def test_fixed_hyperparameters_skip_search(self, clean_csv, tmp_path):
         model = str(tmp_path / "m.model")
         rc = main(["train", "--in", clean_csv, "--model", model,
                    "--method", "svm", "--C", "5.0", "--gamma", "0.3"])
         assert rc == 0
-        gamma_line = [ln for ln in open(model) if ln.startswith("gamma")][0]
+        with open(model) as fh:
+            gamma_line = [ln for ln in fh if ln.startswith("gamma")][0]
         assert float(gamma_line.split()[1]) == 0.3
 
     def test_fixed_hyperparameters_rejected_for_multilevel(self, clean_csv, tmp_path):
@@ -153,7 +165,12 @@ class TestPredict:
         "bias 0\nn_sv 0\n",
         "mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
         "bias 0\nn_features 3\nn_sv 1\nsv 1\n",
-    ], ids=["ensemble-header-only", "no-n-features", "short-sv-line"])
+        "mlsvm-ensemble v1\nn_features 3\nn_centroids 2\n"
+        "centroid 1 0 0 0\ncentroid -1 1 1 1\nn_models 1\npair 0 0\n"
+        "mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
+        "bias 0\nn_features 3\nn_sv 1\nsv 1 0.5 0 0 0\nend-model\n",
+    ], ids=["ensemble-header-only", "no-n-features", "short-sv-line",
+            "ensemble-file"])
     def test_malformed_model_file_exits_1(self, text, clean_csv, tmp_path,
                                           capsys):
         model = tmp_path / "bad.model"
@@ -230,8 +247,9 @@ class TestConfigFile:
         assert main(["train", "--in", clean_csv, "--model", m2,
                      "--config", str(cfg), "--seed", "4"]) == 0
         ds = load_dataset(clean_csv)   # both models valid; seeds differ
-        assert open(m1).read().startswith("mlsvm-model")
-        assert open(m2).read().startswith("mlsvm-model")
+        for m in (m1, m2):
+            with open(m) as fh:
+                assert fh.read().startswith("mlsvm-model")
 
     def test_malformed_config_is_usage_error(self, clean_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -255,8 +273,11 @@ class TestSolverFlags:
 
     def test_removed_solver_flag_is_usage_error(self, clean_csv, tmp_path,
                                                 capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("final = ensemble\n")
         for removed in (["--no-shrinking"], ["--workers", "2"],
-                        ["--error-norm", "1"]):
+                        ["--error-norm", "1"], ["--final", "retrain"],
+                        ["--config", str(cfg)]):
             rc = main(["train", "--in", clean_csv, "--model",
                        str(tmp_path / "m.model")] + removed)
             assert rc == 1, removed
@@ -281,7 +302,7 @@ class TestSolverFlags:
 class TestHelp:
     @pytest.mark.parametrize("sub,flags", [
         ("train", ["--method", "--Q", "--Qdt", "--coarsest-max", "--k",
-                    "--final", "--seed"]),
+                    "--seed"]),
         ("impute", ["--method", "--max-iters", "--stagnation-tol"]),
         ("evaluate", ["--folds", "--imputer", "--normalize-scope"]),
         ("benchmark", ["--ratios", "--methods", "--include-impute-time"]),

@@ -4,11 +4,11 @@ import pytest
 from mlsvm.clustering import kmeans
 from mlsvm.data import Dataset, binary_view
 from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
-from mlsvm.multilevel import (EnsembleModel, FrameworkConfig, build_hierarchy,
-                              coarsen_class, pair_clusters, predict_model,
-                              refine_level, train_coarsest, train_multilevel)
+from mlsvm.multilevel import (FrameworkConfig, build_hierarchy, coarsen_class,
+                              pair_clusters, refine_level, train_coarsest,
+                              train_multilevel)
 from mlsvm.rng import child_rng
-from mlsvm.svm import SvmModel
+from mlsvm.svm import predict
 from mlsvm.synth import make_imbalanced_gaussians, make_separable_blobs
 from mlsvm.ud import UdConfig
 
@@ -236,13 +236,12 @@ class TestTrainMultilevel:
         model, report = train_multilevel(train, view, False, KnnConfig(k=5), ud,
                                          None, FrameworkConfig(coarsest_max=500))
         assert len(report.levels) == 1
-        from mlsvm.svm import predict
         from mlsvm.ud import ud_search
         from mlsvm.svm import KernelParams, train_svm
         out = ud_search(view, np.arange(train.n_rows), False, ud, seed=0)
         flat = train_svm(view, out.weights, KernelParams(out.gamma))
         y_test = np.where(test.labels == 1, 1, -1)
-        acc_ml = (predict_model(model, test.features)[0] == y_test).mean()
+        acc_ml = (predict(model, test.features)[0] == y_test).mean()
         acc_flat = (predict(flat, test.features)[0] == y_test).mean()
         assert abs(acc_ml - acc_flat) <= 0.02
 
@@ -273,7 +272,7 @@ class TestTrainMultilevel:
         y_hold = np.where(ds.labels[holdout] == 1, 1, -1)
 
         def gmean(mod):
-            pred, _ = predict_model(mod, ds.features[holdout])
+            pred, _ = predict(mod, ds.features[holdout])
             return compute_metrics(
                 ConfusionMatrix.from_predictions(y_hold, pred)).gmean
 
@@ -303,50 +302,6 @@ class TestTrainMultilevel:
             lvl_rows = np.concatenate([h.levels[level].pos_rows,
                                        h.levels[level].neg_rows])
             assert np.isin(sol.support_rows, lvl_rows).all()
-
-    def test_ensemble_final_mode(self):
-        rng = np.random.default_rng(12)
-        n = 900
-        x = np.vstack([rng.normal(size=(n // 2, 3)) + 0.6,
-                       rng.normal(size=(n // 2, 3)) - 0.6])
-        labels = np.concatenate([np.ones(n // 2, dtype=int),
-                                 2 * np.ones(n // 2, dtype=int)])
-        ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
-        view = binary_view(ds, 1)
-        fw = FrameworkConfig(coarsest_max=60, q_dt=80, final="ensemble", seed=3)
-        model, _ = train_multilevel(ds, view, False, KnnConfig(k=5),
-                                    UdConfig(internal_cv_folds=3), None, fw)
-        if isinstance(model, EnsembleModel):
-            labels_out, margins = model.predict(x[:50])
-            assert set(np.unique(labels_out)) <= {-1.0, 1.0}
-            assert margins.shape == (50,)
-        else:
-            assert isinstance(model, SvmModel)
-
-    def test_ensemble_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(18)
-        n = 900
-        x = np.vstack([rng.normal(size=(n // 2, 3)) + 0.6,
-                       rng.normal(size=(n // 2, 3)) - 0.6])
-        labels = np.concatenate([np.ones(n // 2, dtype=int),
-                                 2 * np.ones(n // 2, dtype=int)])
-        ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
-        view = binary_view(ds, 1)
-        fw = FrameworkConfig(coarsest_max=60, q_dt=80, final="ensemble", seed=3)
-        model, _ = train_multilevel(ds, view, False, KnnConfig(k=5),
-                                    UdConfig(internal_cv_folds=3), None, fw)
-        if not isinstance(model, EnsembleModel):
-            pytest.skip("level 0 stayed below the cluster threshold")
-        from mlsvm.multilevel import load_any_model, save_any_model
-        path = tmp_path / "ens.model"
-        save_any_model(model, path)
-        back = load_any_model(path)
-        assert isinstance(back, EnsembleModel)
-        pts = x[:40]
-        l1, m1 = model.predict(pts)
-        l2, m2 = back.predict(pts)
-        assert np.array_equal(l1, l2)
-        assert np.array_equal(m1, m2)
 
     def test_deterministic_given_seed(self):
         ds = make_separable_blobs(n=800, d=3, seed=13)

@@ -3,10 +3,9 @@ import pytest
 
 import mlsvm.svm as svm_module
 from mlsvm.data import Dataset, binary_view
-from mlsvm.multilevel import load_any_model, save_any_model
 from mlsvm.svm import (ClassWeights, KernelParams, SolverConfig, SvmModel,
                        decision_values, dual_objective, kkt_violation,
-                       predict, train_svm)
+                       load_any_model, predict, save_any_model, train_svm)
 from oracles import linear_matrix, qp_dual_oracle, rbf_matrix
 
 
