@@ -8,12 +8,12 @@ the long flag names); explicit flags override config values. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from mlsvm.data import (DataFormatError, binary_view, load_dataset,
-                        write_dataset)
+from mlsvm.data import binary_view, load_dataset, write_dataset
 from mlsvm.evaluation import (METHODS, BenchmarkPlan, default_positive_class,
                               format_one_vs_all_table, one_against_all,
                               run_benchmark, run_cv)
@@ -34,6 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _pair(text: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError("expected lo,hi but got %r" % text)
+    return (float(parts[0]), float(parts[1]))
+
+
+def _megabytes(text: str) -> int:
+    return int(text) * 1024 * 1024
+
+
+def _auto_or_float(text: str) -> float | None:
+    return None if text == "auto" else float(text)
+
+
 def _add_io_flags(p):
     p.add_argument("--in", dest="infile", required=True, help="input dataset path")
     p.add_argument("--format", choices=("delimited", "sparse"), default="delimited")
@@ -51,10 +66,10 @@ def _add_method_flags(p):
                    help="fixed penalty (flat methods only; skips model selection)")
     p.add_argument("--gamma", type=float, default=None,
                    help="fixed RBF bandwidth (with --C skips model selection)")
-    p.add_argument("--c-range", default=None, help="model-selection C range lo,hi")
-    p.add_argument("--gamma-range", default=None, help="gamma range lo,hi")
-    p.add_argument("--ud-folds", type=int, default=None,
-                   help="internal CV folds for model selection")
+    p.add_argument("--c-range", type=_pair, help="model-selection C range lo,hi")
+    p.add_argument("--gamma-range", type=_pair, help="gamma range lo,hi")
+    p.add_argument("--ud-folds", dest="internal_cv_folds", metavar="UD_FOLDS",
+                   type=int, help="internal CV folds for model selection")
     p.add_argument("--Q", dest="q", type=float, default=None,
                    help="per-class coarse-size ratio lower bound")
     p.add_argument("--Qdt", dest="q_dt", type=int, default=None,
@@ -62,13 +77,15 @@ def _add_method_flags(p):
     p.add_argument("--coarsest-max", type=int, default=None,
                    help="combined size bound for the coarsest level")
     p.add_argument("--k", type=int, default=None, help="neighbors per point")
-    p.add_argument("--knn-mode", choices=("auto", "exact", "approximate"),
-                   default=None)
+    p.add_argument("--knn-mode", dest="mode",
+                   choices=("auto", "exact", "approximate"))
     p.add_argument("--neighbor-expansion", type=int, default=None)
     p.add_argument("--p-fraction", type=float, default=None,
                    help="fraction of opposite clusters each cluster pairs with")
-    p.add_argument("--kkt-tol", type=float, default=None)
-    p.add_argument("--cache-mb", type=int, default=None, help="kernel cache budget")
+    p.add_argument("--kkt-tol", dest="kkt_tolerance", metavar="KKT_TOL",
+                   type=float)
+    p.add_argument("--cache-mb", dest="cache_bytes", metavar="CACHE_MB",
+                   type=_megabytes, help="kernel cache budget")
 
 
 def _add_imputer_flags(p):
@@ -79,7 +96,7 @@ def _add_imputer_flags(p):
 def _add_rem_flags(p):
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--stagnation-tol", type=float, default=None)
-    p.add_argument("--regularization", default=None,
+    p.add_argument("--regularization", type=_auto_or_float,
                    help="'auto' (ridge strength chosen per missingness pattern "
                         "by generalized cross-validation) or a fixed "
                         "nonnegative value")
@@ -95,8 +112,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=("rem", "mean"), default="rem")
     p.add_argument("--report", default=None, help="diagnostics output path")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("train", help="train a model and write it to a file")
@@ -108,15 +123,12 @@ def build_parser() -> _Parser:
                    help="class mapped to +1 (default: smallest class)")
     p.add_argument("--report", default=None, help="per-level report path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="label points with a saved model")
     _add_io_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="predictions output path")
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="cross-validated evaluation of one method")
@@ -130,7 +142,6 @@ def build_parser() -> _Parser:
     p.add_argument("--normalize-scope", choices=("fold", "global"), default="fold")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="missing-ratio sweep over methods")
@@ -146,8 +157,9 @@ def build_parser() -> _Parser:
     p.add_argument("--name", default=None, help="dataset label in the table")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_benchmark)
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None)
     return parser
 
 
@@ -162,10 +174,9 @@ def _config_tokens(path: str) -> list[str]:
                 raise UsageError("%s: line %d is not key=value" % (path, no))
             key, value = (part.strip() for part in ln.split("=", 1))
             flag = "--" + key.replace("_", "-")
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    tokens.append(flag)
-            else:
+            if value.lower() == "true":
+                tokens.append(flag)
+            elif value.lower() != "false":
                 tokens.extend([flag, value])
     return tokens
 
@@ -181,71 +192,15 @@ def _load(args):
                         delimiter=args.delimiter, n_features=args.n_features)
 
 
-def _rem_config(args) -> RemConfig:
-    kwargs = {}
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    if args.stagnation_tol is not None:
-        kwargs["stagnation_tol"] = args.stagnation_tol
-    if args.regularization is not None and args.regularization != "auto":
-        kwargs["regularization"] = float(args.regularization)
-    return RemConfig(**kwargs)
-
-
-def _parse_pair(text: str) -> tuple:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise UsageError("expected lo,hi but got %r" % text)
-    return (parts[0], parts[1])
-
-
-def _ud_config(args) -> UdConfig:
-    kwargs = {}
-    if args.c_range is not None:
-        kwargs["c_range"] = _parse_pair(args.c_range)
-    if args.gamma_range is not None:
-        kwargs["gamma_range"] = _parse_pair(args.gamma_range)
-    if args.ud_folds is not None:
-        kwargs["internal_cv_folds"] = args.ud_folds
-    return UdConfig(**kwargs)
-
-
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.kkt_tol is not None:
-        kwargs["kkt_tolerance"] = args.kkt_tol
-    if args.cache_mb is not None:
-        kwargs["cache_bytes"] = args.cache_mb * 1024 * 1024
-    return SolverConfig(**kwargs)
-
-
-def _knn_config(args) -> KnnConfig:
-    kwargs = {}
-    if args.k is not None:
-        kwargs["k"] = args.k
-    if args.knn_mode is not None:
-        kwargs["mode"] = args.knn_mode
-    return KnnConfig(**kwargs)
-
-
-def _fw_config(args) -> FrameworkConfig:
-    kwargs = {"seed": args.seed}
-    if args.q is not None:
-        kwargs["q"] = args.q
-    if args.q_dt is not None:
-        kwargs["q_dt"] = args.q_dt
-    if args.coarsest_max is not None:
-        kwargs["coarsest_max"] = args.coarsest_max
-    if args.neighbor_expansion is not None:
-        kwargs["neighbor_expansion"] = args.neighbor_expansion
-    if args.p_fraction is not None:
-        kwargs["p_fraction"] = args.p_fraction
-    return FrameworkConfig(**kwargs)
+def _config(cls, args):
+    """Build cls from every field whose flag was set (flag dest = field name)."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if getattr(args, f.name, None) is not None})
 
 
 def cmd_impute(args) -> int:
     data = _load(args)
-    imp, completed = fit_imputer(args.method, data, _rem_config(args))
+    imp, completed = fit_imputer(args.method, data, _config(RemConfig, args))
     diag = imp.diagnostics_ if args.method == "rem" else None
     write_dataset(completed, args.out, args.format, delimiter=args.delimiter,
                   missing_token=args.missing_token)
@@ -256,23 +211,22 @@ def cmd_impute(args) -> int:
                 fh.write("final_change %.17g\n" % diag.final_change)
                 fh.write("ridge_counts %s\n" % " ".join(
                     "%g:%d" % kv for kv in diag.ridge_counts.items()))
-                counts = " ".join(str(int(c)) for c in diag.missing_per_feature)
             else:
                 fh.write("iterations 0\nfinal_change 0\n")
-                counts = " ".join(str(int(c)) for c in data.missing.sum(axis=0))
-            fh.write("missing_per_feature %s\n" % counts)
+            fh.write("missing_per_feature %s\n" % " ".join(
+                str(int(c)) for c in data.missing.sum(axis=0)))
     return 0
 
 
 def cmd_train(args) -> int:
     data = _load(args)
     if data.has_missing():
-        data = fit_imputer(args.imputer, data, _rem_config(args))[1]
+        data = fit_imputer(args.imputer, data, _config(RemConfig, args))[1]
     positive = args.positive_class
     if positive is None:
         positive = default_positive_class(data)
     view = binary_view(data, positive)
-    solver = _solver_config(args)
+    solver = _config(SolverConfig, args)
     rows = np.arange(data.n_rows)
     report_text = None
     if args.method in ("svm", "wsvm"):
@@ -281,8 +235,8 @@ def cmd_train(args) -> int:
             weights = class_weights(args.c_fixed, weighted, view.y())
             model = train_svm(view, weights, KernelParams(args.gamma), solver, rows)
         else:
-            outcome = ud_search(view, rows, weighted, _ud_config(args), solver,
-                                seed=args.seed)
+            outcome = ud_search(view, rows, weighted, _config(UdConfig, args),
+                                solver, seed=args.seed)
             model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                               solver, rows)
             report_text = "".join("%.17g\t%.17g\t%.6f\n" % t for t in outcome.trace)
@@ -291,9 +245,9 @@ def cmd_train(args) -> int:
             raise ValueError("--C/--gamma are only for flat methods; multilevel "
                              "training selects hyperparameters internally")
         weighted = args.method == "mlwsvm"
-        model, report = train_multilevel(data, view, weighted, _knn_config(args),
-                                         _ud_config(args), solver,
-                                         _fw_config(args))
+        model, report = train_multilevel(
+            data, view, weighted, _config(KnnConfig, args),
+            _config(UdConfig, args), solver, _config(FrameworkConfig, args))
         report_text = report.format_table()
     save_any_model(model, args.model)
     if args.report and report_text is not None:
@@ -307,6 +261,9 @@ def cmd_predict(args) -> int:
     data = _load(args)
     if data.has_missing():
         raise ValueError("prediction input has missing cells; impute first")
+    if data.n_features != model.n_features:
+        raise ValueError("%s has %d features but model %s has %d" % (
+            args.infile, data.n_features, args.model, model.n_features))
     labels, margins = predict(model, data.features)
     with open(args.out, "w", encoding="utf-8") as fh:
         for lab, marg in zip(labels, margins):
@@ -316,13 +273,21 @@ def cmd_predict(args) -> int:
 
 def _cv_kwargs(args):
     return dict(
-        knn_config=_knn_config(args),
-        ud_config=_ud_config(args),
-        solver_config=_solver_config(args),
-        fw_config=_fw_config(args),
-        rem_config=_rem_config(args),
+        knn_config=_config(KnnConfig, args),
+        ud_config=_config(UdConfig, args),
+        solver_config=_config(SolverConfig, args),
+        fw_config=_config(FrameworkConfig, args),
+        rem_config=_config(RemConfig, args),
         normalize_scope=args.normalize_scope,
     )
+
+
+def _emit(text: str, out) -> int:
+    sys.stdout.write(text)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return 0
 
 
 def cmd_evaluate(args) -> int:
@@ -339,11 +304,7 @@ def cmd_evaluate(args) -> int:
         report = run_cv(data, positive, args.method, imputer=args.imputer,
                         folds=args.folds, seed=args.seed, **kwargs)
         text = report.format_report()
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+    return _emit(text, args.out)
 
 
 def cmd_benchmark(args) -> int:
@@ -357,31 +318,25 @@ def cmd_benchmark(args) -> int:
     result = run_benchmark(data, plan, name=name,
                            include_impute_time=args.include_impute_time,
                            **_cv_kwargs(args))
-    text = result.format_table()
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+    return _emit(result.format_table(), args.out)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config", default=None)
     try:
-        if "--config" in argv:
-            at = argv.index("--config") + 1
-            if at >= len(argv):
-                raise UsageError("--config needs a path")
-            tokens = _config_tokens(argv[at])
-            head = argv[:1]
-            argv = head + tokens + argv[1:]
+        config = pre.parse_known_args(argv)[0].config
+        if config is not None:
+            # after the subcommand and before the explicit flags, which win
+            argv = argv[:1] + _config_tokens(config) + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, OSError, DataFormatError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:   # pragma: no cover - invariant violations

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+_RESTARTS = 3      # k-means++ seedings per call
+_MAX_ITER = 100    # Lloyd iterations per seeding
+
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
@@ -23,10 +26,10 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _lloyd(x, centroids, max_iter):
+def _lloyd(x, centroids):
     k = centroids.shape[0]
     assign = np.full(x.shape[0], -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):
@@ -47,8 +50,7 @@ def _lloyd(x, centroids, max_iter):
     return centroids, assign, inertia
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-           restarts: int = 3, max_iter: int = 100):
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Cluster points into k groups; returns (centroids, assignment).
 
     Deterministic for a fixed generator state; the best restart by inertia
@@ -59,9 +61,9 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         raise ValueError("points must be a nonempty 2-d array")
     k = max(1, min(k, x.shape[0]))
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(_RESTARTS):
         centroids = _kmeanspp_init(x, k, rng)
-        centroids, assign, inertia = _lloyd(x, centroids.copy(), max_iter)
+        centroids, assign, inertia = _lloyd(x, centroids.copy())
         if best is None or inertia < best[2]:
             best = (centroids, assign, inertia)
     return best[0], best[1]

@@ -104,7 +104,7 @@ class NormalizationStats:
 
 def load_dataset(path, fmt: str = "delimited", *, label_column=-1,
                  missing_token: str = "?", delimiter: str = ",",
-                 header: str = "auto", n_features: int | None = None) -> Dataset:
+                 n_features: int | None = None) -> Dataset:
     """Load a dataset from delimited text or sparse index:value format.
 
     Delimited: optional header line, one label column, missing_token marks
@@ -118,7 +118,7 @@ def load_dataset(path, fmt: str = "delimited", *, label_column=-1,
         raise DataFormatError("%s: empty file" % path)
     if fmt == "delimited":
         return _load_delimited(path, lines, label_column, missing_token,
-                               delimiter, header)
+                               delimiter)
     if fmt == "sparse":
         return _load_sparse(path, lines, n_features)
     raise ValueError("unknown format %r (expected 'delimited' or 'sparse')" % fmt)
@@ -143,17 +143,13 @@ def _finite_label(path, no, column, tok):
     return int(value)
 
 
-def _load_delimited(path, lines, label_column, missing_token, delimiter, header):
+def _load_delimited(path, lines, label_column, missing_token, delimiter):
     rows = [(no, [c.strip() for c in ln.split(delimiter)]) for no, ln in lines]
     arity = len(rows[0][1])
     feature_names = None
-    first_no, first = rows[0]
-    has_header = False
-    if header == "yes" or isinstance(label_column, str):
-        has_header = True
-    elif header == "auto":
-        has_header = any(not _is_float(tok) and tok != missing_token for tok in first)
-    if has_header:
+    first = rows[0][1]
+    if isinstance(label_column, str) or any(
+            not _is_float(tok) and tok != missing_token for tok in first):
         columns = first
         rows = rows[1:]
         if not rows:
@@ -294,21 +290,26 @@ def write_dataset(data: Dataset, path, fmt: str = "delimited", *,
             raise ValueError("unknown format %r" % fmt)
 
 
+def observed_mean(x: np.ndarray, missing: np.ndarray, feature_names) -> np.ndarray:
+    """Per-column mean of x's unmasked cells; a column with none raises ValueError."""
+    counts = (~missing).sum(axis=0)
+    if (counts == 0).any():
+        col = int(np.argmax(counts == 0))
+        name = feature_names[col] if feature_names else str(col)
+        raise ValueError("feature %r has no observed values" % name)
+    return np.where(missing, 0.0, x).sum(axis=0) / counts
+
+
 def fit_normalization(data: Dataset, rows) -> NormalizationStats:
     """Fit per-feature mean and sample (n-1) std on the observed cells of rows."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("rows must be nonempty")
     x = data.features[rows]
-    obs = ~data.missing[rows]
-    counts = obs.sum(axis=0)
-    if (counts == 0).any():
-        col = int(np.argmax(counts == 0))
-        name = data.feature_names[col] if data.feature_names else str(col)
-        raise ValueError("feature %r has no observed values in the given rows" % name)
-    filled = np.where(obs, x, 0.0)
-    mean = filled.sum(axis=0) / counts
-    dev = np.where(obs, x - mean, 0.0)
+    missing = data.missing[rows]
+    mean = observed_mean(x, missing, data.feature_names)
+    counts = (~missing).sum(axis=0)
+    dev = np.where(missing, 0.0, x - mean)
     sq = (dev * dev).sum(axis=0)
     std = np.zeros_like(mean)
     ok = counts > 1

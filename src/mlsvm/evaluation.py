@@ -20,7 +20,7 @@ from mlsvm.imputation import IMPUTERS, RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
 from mlsvm.metrics import ConfusionMatrix, Metrics, compute_metrics, stratified_folds
 from mlsvm.multilevel import FrameworkConfig, train_multilevel
-from mlsvm.rng import child_rng
+from mlsvm.rng import child_seed
 from mlsvm.svm import KernelParams, SolverConfig, predict, train_svm
 from mlsvm.ud import UdConfig, ud_search
 
@@ -147,7 +147,7 @@ def run_cv(data: Dataset, positive_class: int, method: str,
             test_ds = imp.transform(test_ds)
         seconds["impute"] = time.perf_counter() - t0
 
-        fold_seed = int(child_rng(seed, "fold", f).integers(0, 2**31 - 1))
+        fold_seed = child_seed(seed, "fold", f)
         view = binary_view(train_ds, positive_class)
         t0 = time.perf_counter()
         if method in ("svm", "wsvm"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mlsvm.data import Dataset
+from mlsvm.data import Dataset, observed_mean
 
 _DEFAULT_GRID = (1e-8, 1e-4, 1e-2, 1e-1, 1.0)
 IMPUTERS = ("rem", "mean", "none")
@@ -41,16 +41,7 @@ class RemConfig:
 class RemDiagnostics:
     iterations: int
     final_change: float
-    missing_per_feature: np.ndarray
     ridge_counts: dict    # ridge strength -> patterns using it in the last iteration
-
-
-def _check_observed(data: Dataset) -> None:
-    counts = (~data.missing).sum(axis=0)
-    if (counts == 0).any():
-        col = int(np.argmax(counts == 0))
-        name = data.feature_names[col] if data.feature_names else str(col)
-        raise ValueError("feature %r has no observed values; cannot impute" % name)
 
 
 class MeanImputer:
@@ -60,10 +51,8 @@ class MeanImputer:
         self.mean_ = None
 
     def fit(self, data: Dataset) -> "MeanImputer":
-        _check_observed(data)
-        obs = ~data.missing
-        filled = np.where(obs, data.features, 0.0)
-        self.mean_ = filled.sum(axis=0) / obs.sum(axis=0)
+        self.mean_ = observed_mean(data.features, data.missing,
+                                   data.feature_names)
         return self
 
     def transform(self, data: Dataset) -> Dataset:
@@ -179,12 +168,10 @@ class RemImputer:
     # -- fitting ------------------------------------------------------------
 
     def fit(self, data: Dataset) -> "RemImputer":
-        _check_observed(data)
         cfg = self.config
         mask = data.missing
+        col_means = observed_mean(data.features, mask, data.feature_names)
         x = np.where(mask, 0.0, data.features)
-        obs_counts = (~mask).sum(axis=0)
-        col_means = np.where(mask, 0.0, data.features).sum(axis=0) / obs_counts
         rows_mis, cols_mis = np.nonzero(mask)
         x[rows_mis, cols_mis] = col_means[cols_mis]
 
@@ -214,7 +201,6 @@ class RemImputer:
         self.diagnostics_ = RemDiagnostics(
             iterations=iterations,
             final_change=final_change,
-            missing_per_feature=mask.sum(axis=0),
             ridge_counts={g: int(np.count_nonzero(gammas == g))
                           for g in _ridge_grid(cfg.regularization)},
         )

@@ -17,6 +17,7 @@ from mlsvm.data import Dataset
 
 EXACT_DEFAULT_LIMIT = 20_000
 _PAIR_CHUNK = 1 << 16          # co-leaf pairs gathered at once by the approximate search
+_EXACT_BLOCK = 512             # query rows per distance block in the exact search
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,6 @@ class KnnGraph:
     def undirected_neighbors(self, pos: int) -> np.ndarray:
         return self.und_indices[self.und_indptr[pos]:self.und_indptr[pos + 1]]
 
-    def dump(self, fh) -> None:
-        """Debug adjacency listing: ``node: (nbr,dist) ...`` per line."""
-        for i in range(self.n_nodes):
-            pairs = " ".join("(%d,%.6g)" % (self.node_ids[j], d)
-                             for j, d in zip(self.neighbor_ids[i], self.neighbor_dists[i]))
-            fh.write("%d: %s\n" % (self.node_ids[i], pairs))
-
 
 def build_knn_graph(data: Dataset, rows, config: KnnConfig | None = None,
                     seed: int = 0) -> KnnGraph:
@@ -111,13 +105,13 @@ def build_knn_graph(data: Dataset, rows, config: KnnConfig | None = None,
     return KnnGraph(rows, nbr_ids, dists, k, indptr, indices)
 
 
-def _exact_knn(x: np.ndarray, k: int, block: int = 512):
+def _exact_knn(x: np.ndarray, k: int):
     n = x.shape[0]
     sq = np.einsum("ij,ij->i", x, x)
     nbr_ids = np.empty((n, k), dtype=np.int64)
     nbr_d2 = np.empty((n, k))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _EXACT_BLOCK):
+        stop = min(start + _EXACT_BLOCK, n)
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (x[start:stop] @ x.T)
         np.maximum(d2, 0.0, out=d2)
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf

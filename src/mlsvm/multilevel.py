@@ -22,7 +22,7 @@ import numpy as np
 from mlsvm.clustering import kmeans
 from mlsvm.data import BinaryView, Dataset
 from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
-from mlsvm.rng import child_rng
+from mlsvm.rng import child_rng, child_seed
 from mlsvm.svm import KernelParams, SolverConfig, SvmModel, class_weights, train_svm
 from mlsvm.ud import UdConfig, ud_search
 
@@ -189,7 +189,7 @@ def build_hierarchy(data: Dataset, view: BinaryView,
 
     def graph_for(rows, level, cls):
         return build_knn_graph(data, rows, knn_config,
-                               seed=_tag_seed(config.seed, "aknn", level, cls))
+                               seed=child_seed(config.seed, "aknn", level, cls))
 
     levels = [HierarchyLevel(pos, neg, graph_for(pos, 0, 0), graph_for(neg, 0, 1))]
     floor = max(1, config.coarsest_max // 2)
@@ -221,10 +221,6 @@ def build_hierarchy(data: Dataset, view: BinaryView,
     return Hierarchy(levels=levels, stalled=stalled)
 
 
-def _tag_seed(seed, *tags) -> int:
-    return int(child_rng(seed, *tags).integers(0, 2**31 - 1))
-
-
 def train_coarsest(data: Dataset, view: BinaryView, hierarchy: Hierarchy,
                    weighted: bool, ud_config: UdConfig | None = None,
                    solver_config: SolverConfig | None = None,
@@ -235,7 +231,7 @@ def train_coarsest(data: Dataset, view: BinaryView, hierarchy: Hierarchy,
     coarsest = hierarchy.levels[-1]
     rows = np.sort(np.concatenate([coarsest.pos_rows, coarsest.neg_rows]))
     outcome = ud_search(view, rows, weighted, ud_config, solver_config,
-                        center=None, seed=_tag_seed(config.seed, "ud", hierarchy.n_levels - 1))
+                        center=None, seed=child_seed(config.seed, "ud", hierarchy.n_levels - 1))
     model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                       solver_config, rows)
     return LevelSolution(support_rows=np.sort(model.sv_rows),
@@ -277,7 +273,7 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
     if data_train.size < config.q_dt:
         outcome = ud_search(view, data_train, weighted, ud_config, solver_config,
                             center=(coarse.c, coarse.gamma),
-                            seed=_tag_seed(config.seed, "ud", level))
+                            seed=child_seed(config.seed, "ud", level))
         model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                           solver_config, data_train)
         return LevelSolution(support_rows=np.sort(model.sv_rows),

@@ -20,3 +20,8 @@ def child_rng(seed: int, *tags) -> np.random.Generator:
         else:
             ints.append(int(t) & 0xFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(ints))
+
+
+def child_seed(seed: int, *tags) -> int:
+    """Integer seed in [0, 2**31 - 1) drawn from child_rng(seed, *tags)."""
+    return int(child_rng(seed, *tags).integers(0, 2**31 - 1))

@@ -11,6 +11,7 @@ configuration.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from mlsvm.data import BinaryView
 
 _TAU = 1e-12
 _MAX_ITERATIONS = 1_000_000   # SMO steps before giving up on the tolerance
+_PREDICT_BLOCK = 2048         # points per kernel block in decision_values
 
 
 @dataclass(frozen=True)
@@ -246,15 +248,15 @@ def train_svm(view: BinaryView, weights: ClassWeights, kernel: KernelParams,
     )
 
 
-def decision_values(model: SvmModel, points: np.ndarray, block: int = 2048) -> np.ndarray:
+def decision_values(model: SvmModel, points: np.ndarray) -> np.ndarray:
     """f(x) for each row of points."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != model.n_features:
         raise ValueError("points must be (n, %d)" % model.n_features)
     coef = model.sv_alphas * model.sv_labels
     out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], block):
-        stop = min(start + block, points.shape[0])
+    for start in range(0, points.shape[0], _PREDICT_BLOCK):
+        stop = min(start + _PREDICT_BLOCK, points.shape[0])
         k = _rbf_block(points[start:stop], model.sv_features, model.kernel.gamma)
         out[start:stop] = k @ coef
     return out + model.bias
@@ -341,42 +343,54 @@ def load_any_model(path) -> SvmModel:
         raise ValueError("%s: %s" % (path, exc)) from exc
 
 
+def _number(no: int, key: str, tok: str, kind=float):
+    """tok as a finite float, or as a nonnegative int when kind is int; else
+    ValueError naming the line and key."""
+    try:
+        value = kind(tok)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (kind is float or value >= 0)):
+        raise ValueError("line %d: %s has invalid value %r" % (no, key, tok))
+    return value
+
+
 def _model_from_lines(lines: list[str]) -> SvmModel:
     if not lines or lines[0] != "mlsvm-model v1":
         raise ValueError("not an mlsvm-model v1 file")
-    header = {}
-    sv_lines = []
-    for ln in lines[1:]:
-        if ln.startswith("sv "):
-            if len(ln.split()) < 3:
-                raise ValueError("support-vector line needs a label and an "
-                                 "alpha: %r" % ln)
-            sv_lines.append(ln)
-        elif ln.strip():
-            k, v = ln.split(None, 1)
-            header[k] = v
+    header, svs = {}, []
+    for no, ln in enumerate(lines[1:], 2):
+        toks = ln.split()
+        if toks[:1] == ["sv"]:
+            svs.append((no, toks[1:]))
+        elif toks:
+            if len(toks) != 2:
+                raise ValueError("line %d: %s needs exactly one value" % (no, toks[0]))
+            header[toks[0]] = (no, toks[0], toks[1])
     absent = [k for k in ("gamma", "c_plus", "c_minus", "bias", "n_features", "n_sv")
               if k not in header]
     if absent:
         raise ValueError("model file lacks %s" % ", ".join(absent))
-    n_features = int(header["n_features"])
-    n_sv = int(header["n_sv"])
-    if len(sv_lines) != n_sv:
-        raise ValueError("expected %d support vectors, found %d"
-                         % (n_sv, len(sv_lines)))
-    feats = np.zeros((n_sv, n_features))
-    labels = np.zeros(n_sv)
-    alphas = np.zeros(n_sv)
-    for i, ln in enumerate(sv_lines):
-        toks = ln.split()
-        labels[i] = float(toks[1])
-        alphas[i] = float(toks[2])
-        feats[i] = [float(t) for t in toks[3:]]
+    gamma, c_plus, c_minus, bias = (_number(*header[k])
+                                    for k in ("gamma", "c_plus", "c_minus", "bias"))
+    n_features, n_sv = (_number(*header[k], kind=int) for k in ("n_features", "n_sv"))
+    if len(svs) != n_sv:
+        raise ValueError("expected %d support vectors, found %d" % (n_sv, len(svs)))
+    table = np.zeros((n_sv, 2 + n_features))
+    for i, (no, toks) in enumerate(svs):
+        if len(toks) != 2 + n_features:
+            raise ValueError("line %d: sv needs a label, an alpha and %d features"
+                             % (no, n_features))
+        label = _number(no, "sv label", toks[0])
+        if abs(label) != 1:
+            raise ValueError("line %d: sv label %r is not +1 or -1" % (no, toks[0]))
+        table[i] = [label, _number(no, "sv alpha", toks[1])] + [
+            _number(no, "sv feature", tok) for tok in toks[2:]]
     return SvmModel(
-        sv_features=feats,
-        sv_labels=labels,
-        sv_alphas=alphas,
-        bias=float(header["bias"]),
-        kernel=KernelParams(float(header["gamma"])),
-        weights=ClassWeights(float(header["c_plus"]), float(header["c_minus"])),
+        sv_features=np.ascontiguousarray(table[:, 2:]),
+        sv_labels=table[:, 0].copy(),
+        sv_alphas=table[:, 1].copy(),
+        bias=bias,
+        kernel=KernelParams(gamma),
+        weights=ClassWeights(c_plus, c_minus),
     )

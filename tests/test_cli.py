@@ -1,11 +1,37 @@
 import numpy as np
 import pytest
 
-from mlsvm.cli import _solver_config, build_parser, main
+from mlsvm.cli import _config, build_parser, main
 from mlsvm.data import inject_missing, load_dataset, write_dataset
-from mlsvm.imputation import mean_impute
+from mlsvm.imputation import RemConfig, mean_impute
+from mlsvm.knn import KnnConfig
+from mlsvm.multilevel import FrameworkConfig
 from mlsvm.svm import SolverConfig
 from mlsvm.synth import make_separable_blobs
+from mlsvm.ud import UdConfig
+
+CONFIGS = (RemConfig, UdConfig, SolverConfig, KnnConfig, FrameworkConfig)
+MODEL = ("mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\nbias 0\n"
+         "n_features 3\nn_sv 1\nsv 1 0.5 0 0 0\n")
+FLAGS = [   # config flag, its text, the config it sets, the field, the value
+    ("--c-range", "0.1,10", UdConfig, "c_range", (0.1, 10.0)),
+    ("--gamma-range", "0.01,2", UdConfig, "gamma_range", (0.01, 2.0)),
+    ("--ud-folds", "3", UdConfig, "internal_cv_folds", 3),
+    ("--Q", "0.4", FrameworkConfig, "q", 0.4),
+    ("--Qdt", "800", FrameworkConfig, "q_dt", 800),
+    ("--coarsest-max", "300", FrameworkConfig, "coarsest_max", 300),
+    ("--neighbor-expansion", "2", FrameworkConfig, "neighbor_expansion", 2),
+    ("--p-fraction", "0.3", FrameworkConfig, "p_fraction", 0.3),
+    ("--seed", "7", FrameworkConfig, "seed", 7),
+    ("--k", "4", KnnConfig, "k", 4),
+    ("--knn-mode", "exact", KnnConfig, "mode", "exact"),
+    ("--kkt-tol", "0.01", SolverConfig, "kkt_tolerance", 0.01),
+    ("--cache-mb", "8", SolverConfig, "cache_bytes", 8 * 1024 * 1024),
+    ("--max-iters", "7", RemConfig, "max_iters", 7),
+    ("--stagnation-tol", "0.001", RemConfig, "stagnation_tol", 0.001),
+    ("--regularization", "0.5", RemConfig, "regularization", 0.5),
+    ("--regularization", "auto", RemConfig, "regularization", None),
+]
 
 
 @pytest.fixture()
@@ -159,27 +185,42 @@ class TestTrain:
 
 
 class TestPredict:
-    @pytest.mark.parametrize("text", [
-        "mlsvm-ensemble v1\n",
-        "mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
-        "bias 0\nn_sv 0\n",
-        "mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
-        "bias 0\nn_features 3\nn_sv 1\nsv 1\n",
-        "mlsvm-ensemble v1\nn_features 3\nn_centroids 2\n"
-        "centroid 1 0 0 0\ncentroid -1 1 1 1\nn_models 1\npair 0 0\n"
-        "mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
-        "bias 0\nn_features 3\nn_sv 1\nsv 1 0.5 0 0 0\nend-model\n",
+    @pytest.mark.parametrize("text, where", [
+        ("mlsvm-ensemble v1\n", "not an mlsvm-model v1 file"),
+        ("mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\n"
+         "bias 0\nn_sv 0\n", "lacks n_features"),
+        (MODEL.replace("sv 1 0.5 0 0 0", "sv 1"), "line 9: sv needs"),
+        ("mlsvm-ensemble v1\nn_features 3\nn_centroids 2\n"
+         "centroid 1 0 0 0\ncentroid -1 1 1 1\nn_models 1\npair 0 0\n" + MODEL
+         + "end-model\n", "not an mlsvm-model v1 file"),
+        (MODEL.replace("bias 0", "bias nan"), "line 6: bias"),
+        (MODEL.replace("bias 0", "bias"), "line 6: bias"),
+        (MODEL.replace("gamma 0.5", "gamma inf"), "line 3: gamma"),
+        (MODEL.replace("c_plus 1", "c_plus nan"), "line 4: c_plus"),
+        (MODEL.replace("c_minus 1", "c_minus -inf"), "line 5: c_minus"),
+        (MODEL.replace("sv 1 0.5", "sv 1 nan"), "line 9: sv alpha"),
+        (MODEL.replace("sv 1 0.5 0 0 0", "sv 1 0.5 0 inf 0"),
+         "line 9: sv feature has invalid value 'inf'"),
+        (MODEL.replace("sv 1 0.5", "sv 7 0.5"), "line 9: sv label"),
+        (MODEL.replace("sv 1 0.5 0 0 0", "sv 1 0.5 0 0"), "line 9: sv needs"),
+        (MODEL.replace("n_features 3", "n_features 2").replace(
+            "sv 1 0.5 0 0 0", "sv 1 0.5 0 0"), "{data} has 3 features but model"),
     ], ids=["ensemble-header-only", "no-n-features", "short-sv-line",
-            "ensemble-file"])
-    def test_malformed_model_file_exits_1(self, text, clean_csv, tmp_path,
-                                          capsys):
+            "ensemble-file", "nan-bias", "bias-without-value", "inf-gamma",
+            "nan-c-plus", "minus-inf-c-minus", "nan-alpha", "inf-sv-feature",
+            "sv-label-7", "sv-line-one-feature-short", "data-model-feature-count"])
+    def test_malformed_model_file_exits_1(self, text, where, clean_csv,
+                                          tmp_path, capsys):
         model = tmp_path / "bad.model"
         model.write_text(text)
+        out = tmp_path / "p.txt"
         rc = main(["predict", "--model", str(model), "--in", clean_csv,
-                   "--out", str(tmp_path / "p.txt")])
+                   "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(model) in err
+        assert where.format(data=clean_csv) in err
+        assert not out.exists() or "nan" not in out.read_text()
 
 
 class TestEvaluate:
@@ -262,25 +303,56 @@ class TestConfigFile:
         assert main(["train", "--config"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling", [
+        ["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+        ids=["separate", "equals", "abbreviated"])
+    def test_every_config_spelling_reads_the_file(self, spelling, clean_csv,
+                                                  tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = nosuchmethod\n")
+        model = tmp_path / "m.model"
+        rc = main(["train", "--in", clean_csv, "--model", str(model)]
+                  + [tok.format(cfg) for tok in spelling])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not model.exists()
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("flag, text, cls, field, value", FLAGS,
+                             ids=["%s=%s" % row[:2] for row in FLAGS])
+    def test_flag_sets_config_field(self, flag, text, cls, field, value):
+        args = build_parser().parse_args(
+            ["train", "--in", "d.csv", "--model", "m.model", flag, text])
+        for other in CONFIGS:
+            want = other(**{field: value}) if other is cls else other()
+            assert _config(other, args) == want, other
+
+    @pytest.mark.parametrize("text", ["1", "1,2,3"])
+    def test_c_range_needs_two_values(self, text, clean_csv, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        rc = main(["train", "--in", clean_csv, "--model", str(model),
+                   "--method", "svm", "--c-range", text])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestSolverFlags:
-    def test_flags_set_solver_config(self):
-        args = build_parser().parse_args(
-            ["train", "--in", "d.csv", "--model", "m.model",
-             "--kkt-tol", "0.01", "--cache-mb", "8"])
-        assert _solver_config(args) == SolverConfig(kkt_tolerance=0.01,
-                                                    cache_bytes=8 * 1024 * 1024)
-
     def test_removed_solver_flag_is_usage_error(self, clean_csv, tmp_path,
                                                 capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("final = ensemble\n")
-        for removed in (["--no-shrinking"], ["--workers", "2"],
-                        ["--error-norm", "1"], ["--final", "retrain"],
-                        ["--config", str(cfg)]):
-            rc = main(["train", "--in", clean_csv, "--model",
-                       str(tmp_path / "m.model")] + removed)
-            assert rc == 1, removed
+        train = ["train", "--in", clean_csv, "--model", str(tmp_path / "m.model")]
+        for argv in (train + ["--no-shrinking"], train + ["--workers", "2"],
+                     train + ["--error-norm", "1"], train + ["--final", "retrain"],
+                     train + ["--config", str(cfg)],
+                     ["impute", "--in", clean_csv, "--out",
+                      str(tmp_path / "full.csv"), "--seed", "1"],
+                     ["predict", "--in", clean_csv, "--model",
+                      str(tmp_path / "m.model"), "--out",
+                      str(tmp_path / "p.txt"), "--seed", "1"]):
+            assert main(argv) == 1, argv
             assert "usage error" in capsys.readouterr().err
 
     def test_removed_imputer_cv_folds_is_usage_error(self, noisy_csv, tmp_path,

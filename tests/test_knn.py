@@ -174,12 +174,3 @@ def test_positions_of_maps_rows_to_nodes():
     with pytest.raises(ValueError):
         g.positions_of([4])
 
-
-def test_dump_format(tmp_path):
-    ds = points_dataset([[0.0], [1.0], [3.0]])
-    g = build_knn_graph(ds, np.arange(3), KnnConfig(k=1, mode="exact"))
-    out = tmp_path / "g.txt"
-    with open(out, "w") as fh:
-        g.dump(fh)
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("0: (1,")
