@@ -18,8 +18,9 @@ from mlsvm.evaluation import (
     one_against_all,
     run_benchmark,
     run_cv,
+    train_method,
 )
-from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, mean_impute, rem_impute
+from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, fit_imputer
 from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph, knn_recall
 from mlsvm.metrics import ConfusionMatrix, Metrics, compute_metrics, stratified_folds
 from mlsvm.multilevel import FrameworkConfig, Hierarchy, train_multilevel
@@ -67,21 +68,21 @@ __all__ = [
     "build_knn_graph",
     "compute_metrics",
     "dual_objective",
+    "fit_imputer",
     "fit_normalization",
     "inject_missing",
     "knn_recall",
     "load_any_model",
     "load_dataset",
-    "mean_impute",
     "one_against_all",
     "predict",
     "predict_model",
-    "rem_impute",
     "run_benchmark",
     "run_cv",
     "save_any_model",
     "stratified_folds",
     "take_rows",
+    "train_method",
     "train_multilevel",
     "train_svm",
     "ud_search",

@@ -11,18 +11,16 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from mlsvm.data import binary_view, load_dataset, write_dataset
 from mlsvm.evaluation import (METHODS, BenchmarkPlan, default_positive_class,
                               format_one_vs_all_table, one_against_all,
-                              run_benchmark, run_cv)
+                              run_benchmark, run_cv, train_method)
 from mlsvm.imputation import IMPUTERS, RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
-from mlsvm.multilevel import FrameworkConfig, train_multilevel
+from mlsvm.multilevel import FrameworkConfig
 from mlsvm.svm import (KernelParams, SolverConfig, class_weights, load_any_model,
                        predict, save_any_model, train_svm)
-from mlsvm.ud import UdConfig, ud_search
+from mlsvm.ud import UdConfig
 
 
 class UsageError(ValueError):
@@ -62,10 +60,6 @@ def _add_io_flags(p):
 
 def _add_method_flags(p):
     p.add_argument("--method", choices=METHODS, default="mlwsvm")
-    p.add_argument("--C", dest="c_fixed", type=float, default=None,
-                   help="fixed penalty (flat methods only; skips model selection)")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="fixed RBF bandwidth (with --C skips model selection)")
     p.add_argument("--c-range", type=_pair, help="model-selection C range lo,hi")
     p.add_argument("--gamma-range", type=_pair, help="gamma range lo,hi")
     p.add_argument("--ud-folds", dest="internal_cv_folds", metavar="UD_FOLDS",
@@ -119,9 +113,15 @@ def build_parser() -> _Parser:
     _add_method_flags(p)
     _add_imputer_flags(p)
     p.add_argument("--model", required=True, help="output model path")
+    p.add_argument("--C", dest="c_fixed", type=float, default=None,
+                   help="fixed penalty; with --gamma, trains a flat method "
+                        "without model selection")
+    p.add_argument("--gamma", type=float, default=None,
+                   help="fixed RBF bandwidth; given together with --C")
     p.add_argument("--positive-class", type=int, default=None,
                    help="class mapped to +1 (default: smallest class)")
-    p.add_argument("--report", default=None, help="per-level report path")
+    p.add_argument("--report", default=None,
+                   help="per-level (flat: per-search-candidate) report path")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -135,9 +135,10 @@ def build_parser() -> _Parser:
     _add_io_flags(p)
     _add_method_flags(p)
     _add_imputer_flags(p)
-    p.add_argument("--positive-class", type=int, default=None)
-    p.add_argument("--all-classes", action="store_true",
-                   help="one-against-all over every class")
+    one_or_all = p.add_mutually_exclusive_group()
+    one_or_all.add_argument("--positive-class", type=int, default=None)
+    one_or_all.add_argument("--all-classes", action="store_true",
+                            help="one-against-all over every class")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--normalize-scope", choices=("fold", "global"), default="fold")
     p.add_argument("--out", default=None)
@@ -219,40 +220,28 @@ def cmd_impute(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if (args.c_fixed is None) != (args.gamma is None):
+        raise UsageError("--C and --gamma go together; %s is missing"
+                         % ("--C" if args.c_fixed is None else "--gamma"))
+    if args.c_fixed is not None and args.method not in ("svm", "wsvm"):
+        raise ValueError("--C/--gamma are only for flat methods; multilevel "
+                         "training selects hyperparameters internally")
     data = _load(args)
     if data.has_missing():
         data = fit_imputer(args.imputer, data, _config(RemConfig, args))[1]
-    positive = args.positive_class
-    if positive is None:
-        positive = default_positive_class(data)
-    view = binary_view(data, positive)
-    solver = _config(SolverConfig, args)
-    rows = np.arange(data.n_rows)
-    report_text = None
-    if args.method in ("svm", "wsvm"):
-        weighted = args.method == "wsvm"
-        if args.c_fixed is not None and args.gamma is not None:
-            weights = class_weights(args.c_fixed, weighted, view.y())
-            model = train_svm(view, weights, KernelParams(args.gamma), solver, rows)
-        else:
-            outcome = ud_search(view, rows, weighted, _config(UdConfig, args),
-                                solver, seed=args.seed)
-            model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
-                              solver, rows)
-            report_text = "".join("%.17g\t%.17g\t%.6f\n" % t for t in outcome.trace)
+    view = binary_view(data, default_positive_class(data, args.positive_class))
+    if args.c_fixed is None:
+        model, report = train_method(view, args.method, args.seed,
+                                     **_train_kwargs(args))
     else:
-        if args.c_fixed is not None or args.gamma is not None:
-            raise ValueError("--C/--gamma are only for flat methods; multilevel "
-                             "training selects hyperparameters internally")
-        weighted = args.method == "mlwsvm"
-        model, report = train_multilevel(
-            data, view, weighted, _config(KnnConfig, args),
-            _config(UdConfig, args), solver, _config(FrameworkConfig, args))
-        report_text = report.format_table()
+        weights = class_weights(args.c_fixed, args.method == "wsvm", view.y())
+        model = train_svm(view, weights, KernelParams(args.gamma),
+                          _config(SolverConfig, args))
+        report = None
     save_any_model(model, args.model)
-    if args.report and report_text is not None:
+    if args.report and report is not None:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
+            fh.write(report.format_table())
     return 0
 
 
@@ -271,15 +260,18 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _cv_kwargs(args):
+def _train_kwargs(args):
     return dict(
         knn_config=_config(KnnConfig, args),
         ud_config=_config(UdConfig, args),
         solver_config=_config(SolverConfig, args),
         fw_config=_config(FrameworkConfig, args),
-        rem_config=_config(RemConfig, args),
-        normalize_scope=args.normalize_scope,
     )
+
+
+def _cv_kwargs(args):
+    return dict(_train_kwargs(args), rem_config=_config(RemConfig, args),
+                normalize_scope=args.normalize_scope)
 
 
 def _emit(text: str, out) -> int:
@@ -298,11 +290,9 @@ def cmd_evaluate(args) -> int:
                                   folds=args.folds, seed=args.seed, **kwargs)
         text = format_one_vs_all_table(reports)
     else:
-        positive = args.positive_class
-        if positive is None:
-            positive = default_positive_class(data)
-        report = run_cv(data, positive, args.method, imputer=args.imputer,
-                        folds=args.folds, seed=args.seed, **kwargs)
+        report = run_cv(data, default_positive_class(data, args.positive_class),
+                        args.method, imputer=args.imputer, folds=args.folds,
+                        seed=args.seed, **kwargs)
         text = report.format_report()
     return _emit(text, args.out)
 

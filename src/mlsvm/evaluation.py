@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mlsvm.data import (Dataset, apply_normalization, binary_view,
+from mlsvm.data import (BinaryView, Dataset, apply_normalization, binary_view,
                         fit_normalization, inject_missing, take_rows)
 from mlsvm.imputation import IMPUTERS, RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
@@ -60,7 +60,7 @@ class EvalReport:
         g = self.metric_arrays()["gmean"]
         return float(g.std(ddof=1)) if g.size > 1 else 0.0
 
-    def seconds_total(self, phases=("hierarchy", "train", "predict")) -> float:
+    def seconds_total(self, phases=("train", "predict")) -> float:
         return float(sum(sum(f.seconds.get(p, 0.0) for p in phases)
                          for f in self.folds))
 
@@ -99,11 +99,38 @@ class BenchmarkPlan:
             raise ValueError("folds must be >= 2")
 
 
-def default_positive_class(data: Dataset) -> int:
-    """Smallest class (first-seen order breaks ties): the usual +1 convention."""
+def default_positive_class(data: Dataset, positive: int | None = None) -> int:
+    """positive if given, else the smallest class (first-seen order breaks ties)."""
+    if positive is not None:
+        return positive
     counts = [(int((data.labels == c).sum()), i) for i, c in enumerate(data.class_names)]
     counts.sort()
     return data.class_names[counts[0][1]]
+
+
+def train_method(view: BinaryView, method: str, seed: int, *,
+                 knn_config: KnnConfig | None = None,
+                 ud_config: UdConfig | None = None,
+                 solver_config: SolverConfig | None = None,
+                 fw_config: FrameworkConfig | None = None):
+    """Train one of METHODS on every row of view; return (model, report).
+
+    svm/wsvm select (C, gamma) on all rows and train once, reporting the
+    UdOutcome; mlsvm/mlwsvm run the V-cycle with fw_config's seed set to
+    seed, reporting the MultilevelReport. Both reports have format_table().
+    """
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % method)
+    weighted = method in ("wsvm", "mlwsvm")
+    if method in ("mlsvm", "mlwsvm"):
+        fw = dataclasses.replace(fw_config or FrameworkConfig(), seed=seed)
+        return train_multilevel(view.base, view, weighted, knn_config, ud_config,
+                                solver_config, fw)
+    rows = np.arange(view.base.n_rows)
+    outcome = ud_search(view, rows, weighted, ud_config, solver_config, seed=seed)
+    model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
+                      solver_config, rows)
+    return model, outcome
 
 
 def run_cv(data: Dataset, positive_class: int, method: str,
@@ -125,7 +152,6 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         raise ValueError("normalize_scope must be 'fold' or 'global'")
     if positive_class not in data.class_names:
         raise ValueError("class %r not in dataset" % positive_class)
-    solver_config = solver_config or SolverConfig()
     y_signed = np.where(data.labels == positive_class, 1, -1)
     assign = stratified_folds(y_signed, folds, seed)
     global_stats = fit_normalization(data, np.arange(data.n_rows)) \
@@ -139,42 +165,24 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         normed = apply_normalization(data, stats)
         train_ds = take_rows(normed, train_rows)
         test_ds = take_rows(normed, test_rows)
-        seconds = {"impute": 0.0, "hierarchy": 0.0, "train": 0.0, "predict": 0.0}
-
         t0 = time.perf_counter()
         imp, train_ds = fit_imputer(imputer, train_ds, rem_config)
         if imp is not None:
             test_ds = imp.transform(test_ds)
-        seconds["impute"] = time.perf_counter() - t0
-
-        fold_seed = child_seed(seed, "fold", f)
-        view = binary_view(train_ds, positive_class)
-        t0 = time.perf_counter()
-        if method in ("svm", "wsvm"):
-            weighted = method == "wsvm"
-            outcome = ud_search(view, np.arange(train_ds.n_rows), weighted,
-                                ud_config, solver_config, seed=fold_seed)
-            model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
-                              solver_config, np.arange(train_ds.n_rows))
-        else:
-            weighted = method == "mlwsvm"
-            fw = dataclasses.replace(fw_config or FrameworkConfig(), seed=fold_seed)
-            model, report = train_multilevel(train_ds, view, weighted,
-                                             knn_config, ud_config,
-                                             solver_config, fw)
-            seconds["hierarchy"] = report.hierarchy_seconds
-        seconds["train"] = time.perf_counter() - t0 - seconds["hierarchy"]
-
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
+        model, _ = train_method(binary_view(train_ds, positive_class), method,
+                                child_seed(seed, "fold", f),
+                                knn_config=knn_config, ud_config=ud_config,
+                                solver_config=solver_config, fw_config=fw_config)
+        t2 = time.perf_counter()
         pred, _ = predict(model, test_ds.features)
-        seconds["predict"] = time.perf_counter() - t0
+        t3 = time.perf_counter()
         y_test = np.where(test_ds.labels == positive_class, 1, -1)
         cm = ConfusionMatrix.from_predictions(y_test, pred)
-        return FoldResult(cm=cm, metrics=compute_metrics(cm), seconds=seconds)
+        return FoldResult(cm=cm, metrics=compute_metrics(cm), seconds={
+            "impute": t1 - t0, "train": t2 - t1, "predict": t3 - t2})
 
-    report = EvalReport(method=method, positive_class=positive_class)
-    report.folds = [one_fold(f) for f in range(folds)]
-    return report
+    return EvalReport(method, positive_class, [one_fold(f) for f in range(folds)])
 
 
 def one_against_all(data: Dataset, method: str, **kwargs) -> dict:
@@ -212,9 +220,8 @@ class BenchmarkResult:
 
     def format_table(self) -> str:
         lines = ["dataset\tr_mv\tmethod\tSN\tSP\tGmean\tACC\tseconds\tGmean_std"]
-        phases = ("hierarchy", "train", "predict")
-        if self.include_impute_time:
-            phases = ("impute",) + phases
+        phases = (("impute", "train", "predict") if self.include_impute_time
+                  else ("train", "predict"))
         for cell in self.cells:
             if cell.error is not None:
                 lines.append("%s\t%.2f\t%s\tERROR: %s"
@@ -234,9 +241,7 @@ def run_benchmark(data: Dataset, plan: BenchmarkPlan, *, name: str = "data",
 
     Cell failures are recorded in place and do not stop the sweep.
     """
-    positive = plan.positive_class
-    if positive is None:
-        positive = default_positive_class(data)
+    positive = default_positive_class(data, plan.positive_class)
     result = BenchmarkResult(name=name, plan=plan,
                              include_impute_time=include_impute_time)
     for ratio in plan.ratios:

@@ -69,10 +69,6 @@ class MeanImputer:
         return Dataset(x, mask, data.labels, data.class_names, data.feature_names)
 
 
-def mean_impute(data: Dataset) -> Dataset:
-    return MeanImputer().fit(data).transform(data)
-
-
 class _PatternGroup:
     """Missingness patterns sharing the same observed-set size, with their rows."""
 
@@ -270,14 +266,3 @@ def fit_imputer(kind: str, data: Dataset, config: RemConfig | None = None):
         imp = MeanImputer().fit(data)
         return imp, imp.transform(data)
     raise ValueError("unknown imputer %r; expected one of %s" % (kind, IMPUTERS))
-
-
-def rem_impute(data: Dataset, config: RemConfig | None = None):
-    """Complete a dataset with the regularized-EM imputer.
-
-    Returns the completed dataset and convergence diagnostics. Observed cells
-    are passed through bit-for-bit.
-    """
-    imp = RemImputer(config)
-    imp.fit(data)
-    return imp.completed_, imp.diagnostics_

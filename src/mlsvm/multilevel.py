@@ -105,7 +105,6 @@ class LevelStats:
 class MultilevelReport:
     levels: list = field(default_factory=list)     # processing order
     stalled: bool = False
-    hierarchy_seconds: float = 0.0
 
     def format_table(self) -> str:
         lines = ["level\tn_pos\tn_neg\tn_sv\tC\tgamma\tseconds"]
@@ -221,21 +220,28 @@ def build_hierarchy(data: Dataset, view: BinaryView,
     return Hierarchy(levels=levels, stalled=stalled)
 
 
+def _search_and_train(view: BinaryView, rows: np.ndarray, weighted: bool,
+                      ud_config: UdConfig | None, solver_config: SolverConfig | None,
+                      center: tuple | None, seed: int) -> LevelSolution:
+    """Model selection on rows, then one SVM trained on the same rows."""
+    outcome = ud_search(view, rows, weighted, ud_config, solver_config,
+                        center=center, seed=seed)
+    model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
+                      solver_config, rows)
+    return LevelSolution(support_rows=np.sort(model.sv_rows),
+                         c=outcome.c, gamma=outcome.gamma, model=model)
+
+
 def train_coarsest(data: Dataset, view: BinaryView, hierarchy: Hierarchy,
                    weighted: bool, ud_config: UdConfig | None = None,
                    solver_config: SolverConfig | None = None,
                    config: FrameworkConfig | None = None) -> LevelSolution:
     """Full model selection plus training at the coarsest level."""
     config = config or FrameworkConfig()
-    solver_config = solver_config or SolverConfig()
     coarsest = hierarchy.levels[-1]
     rows = np.sort(np.concatenate([coarsest.pos_rows, coarsest.neg_rows]))
-    outcome = ud_search(view, rows, weighted, ud_config, solver_config,
-                        center=None, seed=child_seed(config.seed, "ud", hierarchy.n_levels - 1))
-    model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
-                      solver_config, rows)
-    return LevelSolution(support_rows=np.sort(model.sv_rows),
-                         c=outcome.c, gamma=outcome.gamma, model=model)
+    return _search_and_train(view, rows, weighted, ud_config, solver_config, None,
+                             child_seed(config.seed, "ud", hierarchy.n_levels - 1))
 
 
 def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: int,
@@ -253,7 +259,6 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
     merged support vectors are retrained as one model.
     """
     config = config or FrameworkConfig()
-    solver_config = solver_config or SolverConfig()
     if coarse.support_rows.size == 0:
         raise ValueError("coarse solution has no support vectors")
     lvl = hierarchy.levels[level]
@@ -271,13 +276,9 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
     data_train = np.unique(np.concatenate(expanded))
 
     if data_train.size < config.q_dt:
-        outcome = ud_search(view, data_train, weighted, ud_config, solver_config,
-                            center=(coarse.c, coarse.gamma),
-                            seed=child_seed(config.seed, "ud", level))
-        model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
-                          solver_config, data_train)
-        return LevelSolution(support_rows=np.sort(model.sv_rows),
-                             c=outcome.c, gamma=outcome.gamma, model=model)
+        return _search_and_train(view, data_train, weighted, ud_config,
+                                 solver_config, (coarse.c, coarse.gamma),
+                                 child_seed(config.seed, "ud", level))
 
     # cluster mode: inherit hyperparameters, train paired opposite clusters
     c, gamma = coarse.c, coarse.gamma
@@ -326,26 +327,17 @@ def train_multilevel(data: Dataset, view: BinaryView, weighted: bool = False,
     hyperparameters, and times.
     """
     config = config or FrameworkConfig()
-    report = MultilevelReport()
-    t_start = time.perf_counter()
     hierarchy = build_hierarchy(data, view, knn_config, config)
-    report.hierarchy_seconds = time.perf_counter() - t_start
-    report.stalled = hierarchy.stalled
-
-    t0 = time.perf_counter()
-    solution = train_coarsest(data, view, hierarchy, weighted, ud_config,
-                              solver_config, config)
-    coarsest = hierarchy.levels[-1]
-    report.levels.append(LevelStats(
-        level=hierarchy.n_levels - 1,
-        n_pos=coarsest.pos_rows.size, n_neg=coarsest.neg_rows.size,
-        n_sv=solution.support_rows.size, c=solution.c, gamma=solution.gamma,
-        seconds=time.perf_counter() - t0))
-
-    for level in range(hierarchy.n_levels - 2, -1, -1):
+    report = MultilevelReport(stalled=hierarchy.stalled)
+    solution = None
+    for level in range(hierarchy.n_levels - 1, -1, -1):
         t0 = time.perf_counter()
-        solution = refine_level(data, view, hierarchy, level, solution, weighted,
-                                ud_config, solver_config, config)
+        if solution is None:
+            solution = train_coarsest(data, view, hierarchy, weighted, ud_config,
+                                      solver_config, config)
+        else:
+            solution = refine_level(data, view, hierarchy, level, solution,
+                                    weighted, ud_config, solver_config, config)
         lvl = hierarchy.levels[level]
         report.levels.append(LevelStats(
             level=level, n_pos=lvl.pos_rows.size, n_neg=lvl.neg_rows.size,

@@ -48,6 +48,9 @@ class UdOutcome:
     trace: list          # (C, gamma, score) per trained candidate
     evaluations: int     # number of distinct trained candidates
 
+    def format_table(self) -> str:
+        return "".join("%.17g\t%.17g\t%.6f\n" % t for t in self.trace)
+
 
 def _levels(pattern_size: int, lo: float, hi: float, level) -> float:
     return lo + (level - 1) * (hi - lo) / (pattern_size - 1)

@@ -14,7 +14,7 @@ import pytest
 from mlsvm.data import (Dataset, binary_view, fit_normalization, inject_missing,
                         take_rows, write_dataset)
 from mlsvm.evaluation import run_cv
-from mlsvm.imputation import RemImputer, mean_impute, rem_impute
+from mlsvm.imputation import RemImputer, fit_imputer
 from mlsvm.knn import KnnConfig, build_knn_graph
 from mlsvm.metrics import ConfusionMatrix, compute_metrics, stratified_folds
 from mlsvm.multilevel import FrameworkConfig, coarsen_class, train_multilevel
@@ -242,8 +242,8 @@ def test_criterion_08_weighted_multilevel_helps_minority():
 def test_criterion_09_em_imputation_beats_mean_by_30_percent():
     truth = make_correlated_gaussian(n=1000, p=10, rho=0.8, seed=9)
     noisy = inject_missing(truth, 0.20, seed=10)
-    rem_out, _ = rem_impute(noisy)
-    mean_out = mean_impute(noisy)
+    _, rem_out = fit_imputer("rem", noisy)
+    _, mean_out = fit_imputer("mean", noisy)
     mask = noisy.missing
     err_rem = float(((rem_out.features[mask] - truth.features[mask]) ** 2).mean())
     err_mean = float(((mean_out.features[mask] - truth.features[mask]) ** 2).mean())

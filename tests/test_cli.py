@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from mlsvm.cli import _config, build_parser, main
-from mlsvm.data import inject_missing, load_dataset, write_dataset
-from mlsvm.imputation import RemConfig, mean_impute
+from mlsvm.data import binary_view, inject_missing, load_dataset, write_dataset
+from mlsvm.evaluation import default_positive_class
+from mlsvm.imputation import RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
 from mlsvm.multilevel import FrameworkConfig
 from mlsvm.svm import SolverConfig
 from mlsvm.synth import make_separable_blobs
-from mlsvm.ud import UdConfig
+from mlsvm.ud import UdConfig, ud_search
 
 CONFIGS = (RemConfig, UdConfig, SolverConfig, KnnConfig, FrameworkConfig)
 MODEL = ("mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\nbias 0\n"
@@ -66,7 +67,7 @@ class TestImpute:
         assert main(["impute", "--in", noisy_csv, "--out", out,
                      "--method", "mean"]) == 0
         got = load_dataset(out)
-        expected = mean_impute(load_dataset(noisy_csv))
+        _, expected = fit_imputer("mean", load_dataset(noisy_csv))
         assert np.allclose(got.features, expected.features)
 
     def test_imputer_flag_is_usage_error(self, noisy_csv, tmp_path, capsys):
@@ -157,6 +158,26 @@ class TestTrain:
         assert rc == 0
         lines = report.read_text().splitlines()
         assert len(lines) >= 3    # header plus at least two levels
+        levels = [int(ln.split("\t")[0]) for ln in lines[1:]
+                  if not ln.startswith("#")]
+        assert levels == list(range(len(levels) - 1, -1, -1))
+
+    def test_flat_report_lists_search_trace(self, clean_csv, tmp_path):
+        report = tmp_path / "report.txt"
+        rc = main(["train", "--in", clean_csv, "--model", str(tmp_path / "m.model"),
+                   "--method", "wsvm", "--ud-folds", "3", "--seed", "4",
+                   "--report", str(report)])
+        assert rc == 0
+        ds = load_dataset(clean_csv)
+        outcome = ud_search(binary_view(ds, default_positive_class(ds)),
+                            np.arange(ds.n_rows), True,
+                            UdConfig(internal_cv_folds=3), SolverConfig(), seed=4)
+        lines = report.read_text().splitlines()
+        assert len(lines) == len(outcome.trace) == 13
+        for ln, (c, gamma, score) in zip(lines, outcome.trace):
+            got_c, got_gamma, got_score = ln.split("\t")
+            assert (float(got_c), float(got_gamma)) == (c, gamma)
+            assert abs(float(got_score) - score) <= 5e-7
 
     def test_same_seed_byte_identical_models(self, clean_csv, tmp_path):
         m1 = str(tmp_path / "m1.model")
@@ -182,6 +203,36 @@ class TestTrain:
                    str(tmp_path / "m.model"), "--method", "mlsvm",
                    "--C", "5.0", "--gamma", "0.3"])
         assert rc == 1
+
+    @pytest.mark.parametrize("given, missing", [
+        (["--C", "5.0"], "--gamma"),
+        (["--gamma", "0.3"], "--C"),
+        (["--C", "5.0", "--method", "mlsvm"], "--gamma"),
+    ], ids=["C-alone", "gamma-alone", "C-alone-multilevel"])
+    def test_fixed_hyperparameters_need_both(self, given, missing, clean_csv,
+                                             tmp_path, capsys):
+        model = tmp_path / "m.model"
+        rc = main(["train", "--in", clean_csv, "--model", str(model),
+                   "--method", "svm", "--ud-folds", "3"] + given)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "%s is missing" % missing in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("evaluate", ["--method", "svm"]),
+        ("benchmark", ["--methods", "svm", "--ratios", "0"]),
+    ], ids=["evaluate", "benchmark"])
+    @pytest.mark.parametrize("flag", ["--C", "--gamma"])
+    def test_fixed_hyperparameters_are_train_only(self, command, extra, flag,
+                                                  clean_csv, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        rc = main([command, "--in", clean_csv, "--imputer", "none", "--folds",
+                   "2", "--ud-folds", "2", "--out", str(out), flag, "0.5"] + extra)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag in err
+        assert not out.exists()
 
 
 class TestPredict:
@@ -240,6 +291,17 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert out.startswith("class")
         assert len(out.strip().splitlines()) == 3
+
+    def test_all_classes_excludes_positive_class(self, clean_csv, tmp_path,
+                                                 capsys):
+        out = tmp_path / "eval.txt"
+        rc = main(["evaluate", "--in", clean_csv, "--method", "svm",
+                   "--imputer", "none", "--folds", "2", "--ud-folds", "2",
+                   "--all-classes", "--positive-class", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "not allowed with" in err
+        assert not out.exists()
 
 
 class TestBenchmark:

@@ -4,9 +4,11 @@ import pytest
 from mlsvm.data import Dataset, binary_view, fit_normalization, inject_missing
 from mlsvm.evaluation import (BenchmarkPlan, default_positive_class,
                               format_one_vs_all_table, one_against_all,
-                              run_benchmark, run_cv)
+                              run_benchmark, run_cv, train_method)
 from mlsvm.imputation import RemImputer
 from mlsvm.metrics import ConfusionMatrix, compute_metrics, stratified_folds
+from mlsvm.multilevel import FrameworkConfig, train_multilevel
+from mlsvm.svm import KernelParams, train_svm
 from mlsvm.synth import make_separable_blobs
 from mlsvm.ud import UdConfig, ud_search
 
@@ -261,3 +263,43 @@ def test_default_positive_class_is_minority():
     labels = np.array([1] * 7 + [2] * 3)
     ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
     assert default_positive_class(ds) == 2
+    assert default_positive_class(ds, 1) == 1
+
+
+class TestTrainMethod:
+    @pytest.fixture()
+    def view(self):
+        return binary_view(make_separable_blobs(n=300, d=3, separation=3.0,
+                                                seed=8), 1)
+
+    def assert_same_model(self, a, b):
+        assert np.array_equal(a.sv_rows, b.sv_rows)
+        assert np.array_equal(a.sv_alphas, b.sv_alphas)
+        assert (a.bias, a.kernel, a.weights) == (b.bias, b.kernel, b.weights)
+
+    @pytest.mark.parametrize("method, weighted", [("svm", False), ("wsvm", True)])
+    def test_flat_is_search_then_train_on_every_row(self, view, method, weighted):
+        model, outcome = train_method(view, method, 5, ud_config=FAST_UD)
+        rows = np.arange(view.base.n_rows)
+        want = ud_search(view, rows, weighted, FAST_UD, seed=5)
+        assert outcome.trace == want.trace
+        self.assert_same_model(model, train_svm(view, want.weights,
+                                                KernelParams(want.gamma)))
+
+    @pytest.mark.parametrize("method, weighted", [("mlsvm", False),
+                                                  ("mlwsvm", True)])
+    def test_multilevel_takes_the_given_seed(self, view, method, weighted):
+        fw = FrameworkConfig(coarsest_max=60, q_dt=200)
+        model, report = train_method(view, method, 3, ud_config=FAST_UD,
+                                     fw_config=fw)
+        want, want_report = train_multilevel(
+            view.base, view, weighted, None, FAST_UD, None,
+            FrameworkConfig(coarsest_max=60, q_dt=200, seed=3))
+        self.assert_same_model(model, want)
+        assert len(report.levels) > 1
+        assert [r.level for r in report.levels] == \
+            [r.level for r in want_report.levels]
+
+    def test_unknown_method_rejected(self, view):
+        with pytest.raises(ValueError, match="unknown method 'lssvm'"):
+            train_method(view, "lssvm", 0)

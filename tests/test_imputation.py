@@ -4,7 +4,7 @@ import pytest
 from mlsvm.data import Dataset, inject_missing
 from mlsvm.imputation import (_DEFAULT_GRID, MeanImputer, RemConfig,
                               RemImputer, _group_patterns, _ridge_coefficients,
-                              mean_impute, rem_impute)
+                              fit_imputer)
 from mlsvm.synth import make_correlated_gaussian
 
 
@@ -19,23 +19,23 @@ def make(features, missing=None):
 class TestMeanImpute:
     def test_column_mean(self):
         ds = make([[1.0], [np.nan], [3.0]])
-        out = mean_impute(ds)
+        _, out = fit_imputer("mean", ds)
         assert out.features[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert not out.missing.any()
 
     def test_identity_without_missing(self):
         ds = make([[1.0], [2.0]])
-        assert mean_impute(ds) is ds
+        assert fit_imputer("mean", ds)[1] is ds
 
     def test_single_observed_value(self):
         ds = make([[np.nan], [5.0]])
-        out = mean_impute(ds)
+        _, out = fit_imputer("mean", ds)
         assert out.features[:, 0].tolist() == [5.0, 5.0]
 
     def test_all_missing_column_errors(self):
         ds = make([[np.nan, 1.0], [np.nan, 2.0]])
         with pytest.raises(ValueError, match="no observed"):
-            mean_impute(ds)
+            fit_imputer("mean", ds)
 
     def test_transform_uses_training_means(self):
         train = make([[2.0, 0.0], [4.0, 0.0]])
@@ -48,7 +48,8 @@ class TestMeanImpute:
 class TestRemImpute:
     def test_identity_without_missing(self):
         ds = make(np.random.default_rng(0).normal(size=(30, 4)))
-        out, diag = rem_impute(ds)
+        imp, out = fit_imputer("rem", ds)
+        diag = imp.diagnostics_
         assert np.array_equal(out.features, ds.features)
         assert diag.iterations == 0
 
@@ -60,15 +61,15 @@ class TestRemImpute:
         missing = np.zeros_like(feats, dtype=bool)
         missing[17, 1] = True
         ds = make(feats, missing)
-        out, _ = rem_impute(ds, RemConfig(stagnation_tol=1e-9))
+        _, out = fit_imputer("rem", ds, RemConfig(stagnation_tol=1e-9))
         expected = 3.0 * f1[17] + 1.0
         assert abs(out.features[17, 1] - expected) < 1e-6
 
     def test_beats_mean_imputation_on_correlated_data(self):
         truth = make_correlated_gaussian(n=200, p=5, rho=0.8, seed=2)
         noisy = inject_missing(truth, 0.10, seed=3)
-        rem_out, _ = rem_impute(noisy)
-        mean_out = mean_impute(noisy)
+        _, rem_out = fit_imputer("rem", noisy)
+        _, mean_out = fit_imputer("mean", noisy)
         mask = noisy.missing
         rem_err = ((rem_out.features[mask] - truth.features[mask]) ** 2).mean()
         mean_err = ((mean_out.features[mask] - truth.features[mask]) ** 2).mean()
@@ -77,7 +78,7 @@ class TestRemImpute:
     def test_observed_cells_untouched_bit_for_bit(self):
         truth = make_correlated_gaussian(n=100, p=4, rho=0.6, seed=5)
         noisy = inject_missing(truth, 0.2, seed=6)
-        out, _ = rem_impute(noisy)
+        _, out = fit_imputer("rem", noisy)
         obs = ~noisy.missing
         assert np.array_equal(out.features[obs], noisy.features[obs])
 
@@ -85,7 +86,8 @@ class TestRemImpute:
         truth = make_correlated_gaussian(n=120, p=4, rho=0.7, seed=7)
         noisy = inject_missing(truth, 0.15, seed=8)
         cfg = RemConfig(max_iters=50, stagnation_tol=1e-2)
-        _, diag = rem_impute(noisy, cfg)
+        imp, _ = fit_imputer("rem", noisy, cfg)
+        diag = imp.diagnostics_
         assert diag.iterations <= cfg.max_iters
         if diag.iterations < cfg.max_iters:
             assert diag.final_change < cfg.stagnation_tol
@@ -93,29 +95,30 @@ class TestRemImpute:
     def test_huge_regularization_recovers_means(self):
         truth = make_correlated_gaussian(n=80, p=4, rho=0.8, seed=9)
         noisy = inject_missing(truth, 0.1, seed=10)
-        out, _ = rem_impute(noisy, RemConfig(regularization=1e12))
-        baseline = mean_impute(noisy)
+        _, out = fit_imputer("rem", noisy, RemConfig(regularization=1e12))
+        _, baseline = fit_imputer("mean", noisy)
         mask = noisy.missing
         assert np.abs(out.features[mask] - baseline.features[mask]).max() < 1e-3
 
     def test_row_permutation_commutes(self):
         truth = make_correlated_gaussian(n=40, p=4, rho=0.7, seed=11)
         noisy = inject_missing(truth, 0.15, seed=12)
-        out, _ = rem_impute(noisy)
+        _, out = fit_imputer("rem", noisy)
         perm = np.random.default_rng(13).permutation(40)
         shuffled = Dataset(noisy.features[perm], noisy.missing[perm],
                            noisy.labels[perm], noisy.class_names)
-        out_p, _ = rem_impute(shuffled)
+        _, out_p = fit_imputer("rem", shuffled)
         assert np.allclose(out_p.features, out.features[perm], atol=1e-12)
 
     def test_ridge_counts_cover_patterns_in_grid_order(self):
         truth = make_correlated_gaussian(n=200, p=6, rho=0.7, seed=20)
         noisy = inject_missing(truth, 0.3, seed=21)
-        _, diag = rem_impute(noisy)
+        imp, _ = fit_imputer("rem", noisy)
+        diag = imp.diagnostics_
         assert tuple(diag.ridge_counts) == _DEFAULT_GRID
         incomplete = noisy.missing[noisy.missing.any(axis=1)]
         assert sum(diag.ridge_counts.values()) == len(np.unique(incomplete, axis=0))
-        _, fixed = rem_impute(noisy, RemConfig(regularization=0.5))
+        fixed = fit_imputer("rem", noisy, RemConfig(regularization=0.5))[0].diagnostics_
         assert fixed.ridge_counts == {0.5: sum(diag.ridge_counts.values())}
 
     def test_zero_regularization_on_collinear_pattern_raises(self):
@@ -125,7 +128,7 @@ class TestRemImpute:
         missing = np.zeros_like(feats, dtype=bool)
         missing[5, 2] = True
         with pytest.raises(ValueError, match="set a nonzero regularization"):
-            rem_impute(make(feats, missing), RemConfig(regularization=0.0))
+            fit_imputer("rem", make(feats, missing), RemConfig(regularization=0.0))
 
     @pytest.mark.parametrize("value", [-1e-3, -2.0, float("nan")])
     def test_negative_regularization_rejected(self, value):
@@ -138,7 +141,7 @@ class TestRemImpute:
         feats[:, 1] = 2.0
         noisy = inject_missing(make(feats), 0.2, seed=24)
         for cfg in (RemConfig(), RemConfig(regularization=0.1)):
-            out, _ = rem_impute(noisy, cfg)
+            _, out = fit_imputer("rem", noisy, cfg)
             assert np.isfinite(out.features).all()
     def test_transform_completes_unseen_rows(self):
         truth = make_correlated_gaussian(n=150, p=5, rho=0.8, seed=14)
@@ -157,7 +160,7 @@ class TestRemImpute:
         feats = np.array([[np.nan, 1.0], [np.nan, 2.0]])
         ds = make(feats)
         with pytest.raises(ValueError, match="no observed"):
-            rem_impute(ds)
+            fit_imputer("rem", ds)
 
     def test_covariance_state_is_symmetric(self):
         truth = make_correlated_gaussian(n=60, p=4, rho=0.5, seed=18)
