@@ -154,13 +154,12 @@ def build_parser() -> _Parser:
     p.add_argument("--positive-class", type=int, default=None)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--normalize-scope", choices=("fold", "global"), default="fold")
-    p.add_argument("--include-impute-time", action="store_true")
     p.add_argument("--name", default=None, help="dataset label in the table")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_benchmark)
     for p in sub.choices.values():
-        p.add_argument("--config", default=None)
+        p.allow_abbrev = False     # "--gamma" must not match "--gamma-range"
     return parser
 
 
@@ -223,6 +222,8 @@ def cmd_train(args) -> int:
     if (args.c_fixed is None) != (args.gamma is None):
         raise UsageError("--C and --gamma go together; %s is missing"
                          % ("--C" if args.c_fixed is None else "--gamma"))
+    if args.c_fixed is not None and args.report:
+        raise UsageError("--report lists the search that --C/--gamma skip")
     if args.c_fixed is not None and args.method not in ("svm", "wsvm"):
         raise ValueError("--C/--gamma are only for flat methods; multilevel "
                          "training selects hyperparameters internally")
@@ -237,9 +238,8 @@ def cmd_train(args) -> int:
         weights = class_weights(args.c_fixed, args.method == "wsvm", view.y())
         model = train_svm(view, weights, KernelParams(args.gamma),
                           _config(SolverConfig, args))
-        report = None
     save_any_model(model, args.model)
-    if args.report and report is not None:
+    if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.format_table())
     return 0
@@ -305,9 +305,7 @@ def cmd_benchmark(args) -> int:
                          folds=args.folds, seed=args.seed,
                          positive_class=args.positive_class)
     name = args.name or args.infile.rsplit("/", 1)[-1]
-    result = run_benchmark(data, plan, name=name,
-                           include_impute_time=args.include_impute_time,
-                           **_cv_kwargs(args))
+    result = run_benchmark(data, plan, name=name, **_cv_kwargs(args))
     return _emit(result.format_table(), args.out)
 
 
@@ -317,10 +315,11 @@ def main(argv=None) -> int:
     pre = _Parser(add_help=False)
     pre.add_argument("--config", default=None)
     try:
-        config = pre.parse_known_args(argv)[0].config
-        if config is not None:
+        # every spelling of --config is taken out here, abbreviated ones too
+        known, argv = pre.parse_known_args(argv)
+        if known.config is not None:
             # after the subcommand and before the explicit flags, which win
-            argv = argv[:1] + _config_tokens(config) + argv[1:]
+            argv = argv[:1] + _config_tokens(known.config) + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

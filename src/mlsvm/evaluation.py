@@ -214,14 +214,10 @@ class BenchmarkCell:
 @dataclass
 class BenchmarkResult:
     name: str
-    plan: BenchmarkPlan
     cells: list = field(default_factory=list)
-    include_impute_time: bool = False
 
     def format_table(self) -> str:
         lines = ["dataset\tr_mv\tmethod\tSN\tSP\tGmean\tACC\tseconds\tGmean_std"]
-        phases = (("impute", "train", "predict") if self.include_impute_time
-                  else ("train", "predict"))
         for cell in self.cells:
             if cell.error is not None:
                 lines.append("%s\t%.2f\t%s\tERROR: %s"
@@ -230,20 +226,19 @@ class BenchmarkResult:
             m = cell.report.mean
             lines.append("%s\t%.2f\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%.3f\t%.4f"
                          % (self.name, cell.ratio, cell.method, m.sn, m.sp,
-                            m.gmean, m.acc, cell.report.seconds_total(phases),
+                            m.gmean, m.acc, cell.report.seconds_total(),
                             cell.report.gmean_std))
         return "\n".join(lines) + "\n"
 
 
 def run_benchmark(data: Dataset, plan: BenchmarkPlan, *, name: str = "data",
-                  include_impute_time: bool = False, **kwargs) -> BenchmarkResult:
+                  **kwargs) -> BenchmarkResult:
     """Missing-ratio sweep: inject, cross-validate each method, tabulate.
 
     Cell failures are recorded in place and do not stop the sweep.
     """
     positive = default_positive_class(data, plan.positive_class)
-    result = BenchmarkResult(name=name, plan=plan,
-                             include_impute_time=include_impute_time)
+    result = BenchmarkResult(name=name)
     for ratio in plan.ratios:
         injected = inject_missing(data, ratio, seed=plan.seed) if ratio > 0 else data
         for method in plan.methods:

@@ -44,6 +44,12 @@ class RemDiagnostics:
     ridge_counts: dict    # ridge strength -> patterns using it in the last iteration
 
 
+def _completed(data: Dataset, x: np.ndarray) -> Dataset:
+    """data with its features replaced by the completed matrix x."""
+    return Dataset(x, np.zeros_like(data.missing), data.labels, data.class_names,
+                   data.feature_names)
+
+
 class MeanImputer:
     """Replace each missing cell by its feature's observed training mean."""
 
@@ -62,11 +68,7 @@ class MeanImputer:
             raise ValueError("feature count mismatch")
         if not data.has_missing():
             return data
-        x = data.features.copy()
-        rows, cols = np.nonzero(data.missing)
-        x[rows, cols] = self.mean_[cols]
-        mask = np.zeros_like(data.missing)
-        return Dataset(x, mask, data.labels, data.class_names, data.feature_names)
+        return _completed(data, np.where(data.missing, self.mean_, data.features))
 
 
 class _PatternGroup:
@@ -190,10 +192,7 @@ class RemImputer:
                 if final_change < cfg.stagnation_tol:
                     break
         self._estimate(x)
-        out = data.features.copy()
-        out[rows_mis, cols_mis] = x[rows_mis, cols_mis]
-        self.completed_ = Dataset(out, np.zeros_like(mask), data.labels,
-                                  data.class_names, data.feature_names)
+        self.completed_ = _completed(data, x)
         self.diagnostics_ = RemDiagnostics(
             iterations=iterations,
             final_change=final_change,
@@ -210,14 +209,9 @@ class RemImputer:
             raise ValueError("feature count mismatch")
         if not data.has_missing():
             return data
-        mask = data.missing
-        x = np.where(mask, 0.0, data.features)
-        self._impute_into(x, _group_patterns(mask))
-        out = data.features.copy()
-        rows_mis, cols_mis = np.nonzero(mask)
-        out[rows_mis, cols_mis] = x[rows_mis, cols_mis]
-        return Dataset(out, np.zeros_like(mask), data.labels, data.class_names,
-                       data.feature_names)
+        x = np.where(data.missing, 0.0, data.features)
+        self._impute_into(x, _group_patterns(data.missing))
+        return _completed(data, x)
 
     # -- internals ----------------------------------------------------------
 

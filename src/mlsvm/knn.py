@@ -18,16 +18,16 @@ from mlsvm.data import Dataset
 EXACT_DEFAULT_LIMIT = 20_000
 _PAIR_CHUNK = 1 << 16          # co-leaf pairs gathered at once by the approximate search
 _EXACT_BLOCK = 512             # query rows per distance block in the exact search
+_N_TREES = 12                  # random projection trees in the approximate index
+_LEAF_SIZE = 48                # most points per leaf
+_SEARCH_CHECKS = 1024          # most candidates searched per point
+_REFINE_ITERS = 3              # neighbor-of-neighbor improvement passes
 
 
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 10
     mode: str = "auto"          # exact | approximate | auto (exact below limit)
-    n_trees: int = 12
-    leaf_size: int = 48
-    search_checks: int = 1024
-    refine_iters: int = 3       # neighbor-of-neighbor improvement passes
 
     def __post_init__(self):
         if self.k < 1:
@@ -99,7 +99,7 @@ def build_knn_graph(data: Dataset, rows, config: KnnConfig | None = None,
     if mode == "exact":
         nbr_ids, nbr_d2 = _exact_knn(x, k)
     else:
-        nbr_ids, nbr_d2 = _approx_knn(x, k, config, seed)
+        nbr_ids, nbr_d2 = _approx_knn(x, k, seed)
     dists = np.sqrt(np.maximum(nbr_d2, 0.0))
     indptr, indices = _symmetric_closure(nbr_ids, n)
     return KnnGraph(rows, nbr_ids, dists, k, indptr, indices)
@@ -161,13 +161,13 @@ def _median(v: np.ndarray) -> float:
     return part[half] if odd else (part[half - 1] + part[half]) / 2
 
 
-def _approx_knn(x: np.ndarray, k: int, config: KnnConfig, seed: int):
+def _approx_knn(x: np.ndarray, k: int, seed: int):
     n = x.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B6E6E]))
     trees = []
-    for _ in range(config.n_trees):
+    for _ in range(_N_TREES):
         leaves: list[np.ndarray] = []
-        _rp_tree_leaves(x, np.arange(n), config.leaf_size, rng, leaves)
+        _rp_tree_leaves(x, np.arange(n), _LEAF_SIZE, rng, leaves)
         sizes = np.array([leaf.size for leaf in leaves], dtype=np.int64)
         members = np.concatenate(leaves)
         # the leaves partition the points: each point's leaf as (start, size)
@@ -179,10 +179,10 @@ def _approx_knn(x: np.ndarray, k: int, config: KnnConfig, seed: int):
     sq = np.einsum("ij,ij->i", x, x)
     nbr_ids = np.empty((n, k), dtype=np.int64)
     nbr_d2 = np.empty((n, k))
-    step = max(1, _PAIR_CHUNK // max(1, k, config.n_trees * config.leaf_size))
+    step = max(1, _PAIR_CHUNK // max(1, k, _N_TREES * _LEAF_SIZE))
     for a in range(0, n, step):
         b = min(a + step, n)
-        cand, group = _leaf_candidates(trees, a, b, n, config.search_checks)
+        cand, group = _leaf_candidates(trees, a, b, n, _SEARCH_CHECKS)
         ptr = [0] + np.cumsum(group).tolist()
         d2 = np.empty(cand.size)
         for r in range(b - a):
@@ -194,7 +194,7 @@ def _approx_knn(x: np.ndarray, k: int, config: KnnConfig, seed: int):
             d2_i = _dist2(x, sq, cand_i, i)
             pick = d2_i.argsort(kind="stable")[:k]
             nbr_ids[i], nbr_d2[i] = cand_i[pick], d2_i[pick]
-    for _ in range(max(0, config.refine_iters)):
+    for _ in range(_REFINE_ITERS):
         if not _refine_neighbors(x, sq, nbr_ids, nbr_d2):
             break
     return nbr_ids, nbr_d2

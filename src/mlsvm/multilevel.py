@@ -45,6 +45,8 @@ class FrameworkConfig:
             raise ValueError("coarsest_max must be >= 2")
         if self.q_dt < self.coarsest_max:
             raise ValueError("q_dt must be >= coarsest_max")
+        if self.neighbor_expansion < 0:
+            raise ValueError("neighbor_expansion must be >= 0")
         if not 0 < self.p_fraction <= 1:
             raise ValueError("p_fraction must be in (0, 1]")
 
@@ -168,8 +170,7 @@ def coarsen_class(graph: KnnGraph, q: float, rng: np.random.Generator) -> Coarse
     return CoarsenResult(selected=np.flatnonzero(selected), rounds=rounds)
 
 
-def build_hierarchy(data: Dataset, view: BinaryView,
-                    knn_config: KnnConfig | None = None,
+def build_hierarchy(view: BinaryView, knn_config: KnnConfig | None = None,
                     config: FrameworkConfig | None = None) -> Hierarchy:
     """Coarsen both classes level by level until the combined size fits.
 
@@ -179,7 +180,7 @@ def build_hierarchy(data: Dataset, view: BinaryView,
     """
     knn_config = knn_config or KnnConfig()
     config = config or FrameworkConfig()
-    if data.has_missing():
+    if view.base.has_missing():
         raise ValueError("hierarchy requires fully observed data (impute first)")
     pos = np.sort(view.rows_positive)
     neg = np.sort(view.rows_negative)
@@ -187,7 +188,7 @@ def build_hierarchy(data: Dataset, view: BinaryView,
         raise ValueError("each class needs at least 2 points")
 
     def graph_for(rows, level, cls):
-        return build_knn_graph(data, rows, knn_config,
+        return build_knn_graph(view.base, rows, knn_config,
                                seed=child_seed(config.seed, "aknn", level, cls))
 
     levels = [HierarchyLevel(pos, neg, graph_for(pos, 0, 0), graph_for(neg, 0, 1))]
@@ -232,8 +233,8 @@ def _search_and_train(view: BinaryView, rows: np.ndarray, weighted: bool,
                          c=outcome.c, gamma=outcome.gamma, model=model)
 
 
-def train_coarsest(data: Dataset, view: BinaryView, hierarchy: Hierarchy,
-                   weighted: bool, ud_config: UdConfig | None = None,
+def train_coarsest(view: BinaryView, hierarchy: Hierarchy, weighted: bool,
+                   ud_config: UdConfig | None = None,
                    solver_config: SolverConfig | None = None,
                    config: FrameworkConfig | None = None) -> LevelSolution:
     """Full model selection plus training at the coarsest level."""
@@ -244,7 +245,7 @@ def train_coarsest(data: Dataset, view: BinaryView, hierarchy: Hierarchy,
                              child_seed(config.seed, "ud", hierarchy.n_levels - 1))
 
 
-def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: int,
+def refine_level(view: BinaryView, hierarchy: Hierarchy, level: int,
                  coarse: LevelSolution, weighted: bool,
                  ud_config: UdConfig | None = None,
                  solver_config: SolverConfig | None = None,
@@ -291,9 +292,9 @@ def refine_level(data: Dataset, view: BinaryView, hierarchy: Hierarchy, level: i
     k_neg = max(1, k_total - k_pos)
     k_pos = min(k_pos, pos_dt.size)
     k_neg = min(k_neg, neg_dt.size)
-    cen_pos, asg_pos = kmeans(data.features[pos_dt], k_pos,
+    cen_pos, asg_pos = kmeans(view.base.features[pos_dt], k_pos,
                               child_rng(config.seed, "kmeans", level, 0))
-    cen_neg, asg_neg = kmeans(data.features[neg_dt], k_neg,
+    cen_neg, asg_neg = kmeans(view.base.features[neg_dt], k_neg,
                               child_rng(config.seed, "kmeans", level, 1))
     k_pos, k_neg = cen_pos.shape[0], cen_neg.shape[0]
     dist = ((cen_pos[:, None, :] - cen_neg[None, :, :]) ** 2).sum(axis=2)
@@ -323,21 +324,23 @@ def train_multilevel(data: Dataset, view: BinaryView, weighted: bool = False,
                      config: FrameworkConfig | None = None):
     """Full V-cycle: hierarchy, coarsest solve, refinement back to level 0.
 
-    Returns the level-0 SVM model and a report of per-level sizes,
-    hyperparameters, and times.
+    view must be a view of data. Returns the level-0 SVM model and a report
+    of per-level sizes, hyperparameters, and times.
     """
+    if view.base is not data:
+        raise ValueError("view is not a view of data")
     config = config or FrameworkConfig()
-    hierarchy = build_hierarchy(data, view, knn_config, config)
+    hierarchy = build_hierarchy(view, knn_config, config)
     report = MultilevelReport(stalled=hierarchy.stalled)
     solution = None
     for level in range(hierarchy.n_levels - 1, -1, -1):
         t0 = time.perf_counter()
         if solution is None:
-            solution = train_coarsest(data, view, hierarchy, weighted, ud_config,
+            solution = train_coarsest(view, hierarchy, weighted, ud_config,
                                       solver_config, config)
         else:
-            solution = refine_level(data, view, hierarchy, level, solution,
-                                    weighted, ud_config, solver_config, config)
+            solution = refine_level(view, hierarchy, level, solution, weighted,
+                                    ud_config, solver_config, config)
         lvl = hierarchy.levels[level]
         report.levels.append(LevelStats(
             level=level, n_pos=lvl.pos_rows.size, n_neg=lvl.neg_rows.size,

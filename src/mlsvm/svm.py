@@ -74,6 +74,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.kkt_tolerance > 0:
             raise ValueError("kkt_tolerance must be positive")
+        if self.cache_bytes < 0:
+            raise ValueError("cache_bytes must be >= 0")
 
 
 @dataclass

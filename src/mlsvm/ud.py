@@ -101,19 +101,13 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
             pred, _ = predict(model, view.base.features[rows])
             cm = cm + ConfusionMatrix.from_predictions(y, pred)
         else:
-            skipped = 0
+            # folds <= each class's size, so every training part keeps both classes
             for f in range(folds):
                 tr = rows[assign != f]
                 te = rows[assign == f]
-                y_tr = view.y()[tr]
-                if (y_tr > 0).all() or (y_tr < 0).all():
-                    skipped += 1
-                    continue
                 model = train_svm(view, weights, kernel, solver, tr)
                 pred, _ = predict(model, view.base.features[te])
                 cm = cm + ConfusionMatrix.from_predictions(view.y()[te], pred)
-            if skipped == folds:
-                raise ValueError("every CV fold lost a class; too few rows")
         return compute_metrics(cm).gmean
 
     log_c_lo, log_c_hi = np.log10(config.c_range[0]), np.log10(config.c_range[1])
@@ -130,14 +124,12 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
         for lc, lg in _STAGE1
     ]
 
-    scores: dict[tuple, float] = {}
-    trace: list = []
+    scores: dict[tuple, float] = {}     # candidates in evaluation order
 
     def run_batch(cands):
-        fresh = [cand for cand in dict.fromkeys(cands) if cand not in scores]
-        for cand in fresh:
-            scores[cand] = evaluate(cand)
-            trace.append((cand[0], cand[1], scores[cand]))
+        for cand in cands:
+            if cand not in scores:
+                scores[cand] = evaluate(cand)
 
     run_batch(stage1)
     winner1 = min(stage1, key=lambda cand: (-scores[cand], cand[0], cand[1]))
@@ -159,10 +151,10 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
     # the lattice center duplicates the stage-1 winner and reuses its score
     run_batch(stage2)
 
-    all_cands = list(dict.fromkeys(stage1 + stage2))
-    best = min(all_cands, key=lambda cand: (-scores[cand], cand[0], cand[1]))
+    best = min(scores, key=lambda cand: (-scores[cand], cand[0], cand[1]))
     return UdOutcome(
         c=best[0], gamma=best[1], score=scores[best],
         weights=class_weights(best[0], weights_mode, y),
-        trace=trace, evaluations=len(scores),
+        trace=[(c, gamma, score) for (c, gamma), score in scores.items()],
+        evaluations=len(scores),
     )

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from mlsvm import knn
 from mlsvm.data import (Dataset, binary_view, fit_normalization, inject_missing,
                         take_rows, write_dataset)
 from mlsvm.evaluation import run_cv
@@ -134,10 +135,13 @@ def _rounds_independent(graph, rounds):
     return True
 
 
-def test_criterion_05_coarsening_structure_on_100_graphs():
+def test_criterion_05_coarsening_structure_on_100_graphs(monkeypatch):
     rng = np.random.default_rng(1005)
-    cfg = KnnConfig(k=10, mode="approximate", n_trees=4, leaf_size=24,
-                    search_checks=128, refine_iters=1)
+    monkeypatch.setattr(knn, "_N_TREES", 4)
+    monkeypatch.setattr(knn, "_LEAF_SIZE", 24)
+    monkeypatch.setattr(knn, "_SEARCH_CHECKS", 128)
+    monkeypatch.setattr(knn, "_REFINE_ITERS", 1)
+    cfg = KnnConfig(k=10, mode="approximate")
     t0 = time.perf_counter()
     checked = 0
     for trial in range(100):

@@ -198,6 +198,16 @@ class TestTrain:
             gamma_line = [ln for ln in fh if ln.startswith("gamma")][0]
         assert float(gamma_line.split()[1]) == 0.3
 
+    def test_fixed_hyperparameters_refuse_report(self, clean_csv, tmp_path, capsys):
+        model, report = tmp_path / "m.model", tmp_path / "r.txt"
+        rc = main(["train", "--in", clean_csv, "--model", str(model),
+                   "--method", "svm", "--C", "5", "--gamma", "0.3",
+                   "--report", str(report)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "--report" in err
+        assert not model.exists() and not report.exists()
+
     def test_fixed_hyperparameters_rejected_for_multilevel(self, clean_csv, tmp_path):
         rc = main(["train", "--in", clean_csv, "--model",
                    str(tmp_path / "m.model"), "--method", "mlsvm",
@@ -361,6 +371,16 @@ class TestConfigFile:
                    str(tmp_path / "m.model"), "--config", str(cfg)])
         assert rc == 1
 
+    def test_config_line_naming_another_config_is_usage_error(
+            self, clean_csv, tmp_path, capsys):
+        cfg = tmp_path / "nested.cfg"
+        cfg.write_text("config = other.cfg\n")
+        rc = main(["train", "--in", clean_csv, "--model",
+                   str(tmp_path / "m.model"), "--config", str(cfg)])
+        assert rc == 1
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "m.model").exists()
+
     def test_config_without_path_is_usage_error(self, capsys):
         assert main(["train", "--config"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -389,6 +409,38 @@ class TestConfigFlags:
         for other in CONFIGS:
             want = other(**{field: value}) if other is cls else other()
             assert _config(other, args) == want, other
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "--method", "svm", "--folds", "2", "--gamma", "0.1,1"],
+         "--gamma"),
+        (["benchmark", "--methods", "svm", "--ratios", "0", "--folds", "2",
+          "--gamma", "0.1,1"], "--gamma"),
+        (["train", "--method", "svm", "--coarsest", "300"], "--coarsest"),
+    ], ids=["evaluate-gamma", "benchmark-gamma", "train-coarsest"])
+    def test_abbreviated_flag_is_usage_error(self, argv, flag, clean_csv,
+                                             tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        rc = main(argv + ["--in", clean_csv, "--imputer", "none", "--ud-folds", "2",
+                          "--model" if argv[0] == "train" else "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "unrecognized arguments: %s" % flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text, field", [
+        ("--neighbor-expansion", "-2", "neighbor_expansion"),
+        ("--cache-mb", "-5", "cache_bytes"),
+    ])
+    def test_negative_count_is_rejected(self, flag, text, field, clean_csv,
+                                        tmp_path, capsys):
+        model = tmp_path / "m.model"
+        rc = main(["train", "--in", clean_csv, "--model", str(model),
+                   "--method", "mlsvm", flag, text])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not model.exists()
 
     @pytest.mark.parametrize("text", ["1", "1,2,3"])
     def test_c_range_needs_two_values(self, text, clean_csv, tmp_path, capsys):
@@ -439,7 +491,7 @@ class TestHelp:
                     "--seed"]),
         ("impute", ["--method", "--max-iters", "--stagnation-tol"]),
         ("evaluate", ["--folds", "--imputer", "--normalize-scope"]),
-        ("benchmark", ["--ratios", "--methods", "--include-impute-time"]),
+        ("benchmark", ["--ratios", "--methods"]),
         ("predict", ["--model", "--out"]),
     ])
     def test_subcommand_help_documents_flags(self, sub, flags, capsys):

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from mlsvm import knn
 from mlsvm.data import Dataset
 from mlsvm.knn import KnnConfig, _median, build_knn_graph, knn_recall
 from oracles import brute_knn
+
+
+def set_forest(monkeypatch, n_trees, leaf_size, search_checks, refine_iters):
+    """Give the approximate index these constants for one test."""
+    monkeypatch.setattr(knn, "_N_TREES", n_trees)
+    monkeypatch.setattr(knn, "_LEAF_SIZE", leaf_size)
+    monkeypatch.setattr(knn, "_SEARCH_CHECKS", search_checks)
+    monkeypatch.setattr(knn, "_REFINE_ITERS", refine_iters)
 
 
 def points_dataset(x):
@@ -130,24 +139,27 @@ class TestRecall:
 
 
 class TestApproximate:
-    def test_one_leaf_holding_every_point_is_exact(self):
+    def test_one_leaf_holding_every_point_is_exact(self, monkeypatch):
         x = np.random.default_rng(11).normal(size=(90, 3))
-        cfg = KnnConfig(k=6, mode="approximate", n_trees=2, leaf_size=100,
-                        search_checks=1000, refine_iters=0)
+        set_forest(monkeypatch, n_trees=2, leaf_size=100, search_checks=1000,
+                   refine_iters=0)
+        cfg = KnnConfig(k=6, mode="approximate")
         g = build_knn_graph(points_dataset(x), np.arange(90), cfg, seed=1)
         assert np.array_equal(g.neighbor_ids, brute_knn(x, 6))
 
-    def test_too_few_candidates_falls_back_to_full_search(self):
+    def test_too_few_candidates_falls_back_to_full_search(self, monkeypatch):
         x = np.random.default_rng(12).normal(size=(80, 3))
-        cfg = KnnConfig(k=5, mode="approximate", n_trees=1, leaf_size=4,
-                        search_checks=2, refine_iters=0)
+        set_forest(monkeypatch, n_trees=1, leaf_size=4, search_checks=2,
+                   refine_iters=0)
+        cfg = KnnConfig(k=5, mode="approximate")
         g = build_knn_graph(points_dataset(x), np.arange(80), cfg, seed=2)
         assert np.array_equal(g.neighbor_ids, brute_knn(x, 5))
 
-    def test_lists_are_sorted_distinct_and_recompute(self):
+    def test_lists_are_sorted_distinct_and_recompute(self, monkeypatch):
         x = np.random.default_rng(13).normal(size=(700, 4))
-        cfg = KnnConfig(k=8, mode="approximate", n_trees=3, leaf_size=20,
-                        search_checks=30, refine_iters=2)
+        set_forest(monkeypatch, n_trees=3, leaf_size=20, search_checks=30,
+                   refine_iters=2)
+        cfg = KnnConfig(k=8, mode="approximate")
         g = build_knn_graph(points_dataset(x), np.arange(700), cfg, seed=3)
         assert (np.diff(g.neighbor_dists, axis=1) >= 0).all()
         for i in range(700):

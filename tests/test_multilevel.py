@@ -94,7 +94,7 @@ class TestHierarchy:
     def test_small_dataset_single_level(self):
         ds = make_separable_blobs(n=300, d=3, seed=0)
         view = binary_view(ds, 1)
-        h = build_hierarchy(ds, view, KnnConfig(k=5),
+        h = build_hierarchy(view, KnnConfig(k=5),
                             FrameworkConfig(coarsest_max=500))
         assert h.n_levels == 1
         assert not h.stalled
@@ -102,7 +102,7 @@ class TestHierarchy:
     def test_balanced_shrink_until_bound(self):
         ds = make_separable_blobs(n=3000, d=4, seed=1)
         view = binary_view(ds, 1)
-        h = build_hierarchy(ds, view, KnnConfig(k=5),
+        h = build_hierarchy(view, KnnConfig(k=5),
                             FrameworkConfig(coarsest_max=200, q_dt=5000))
         sizes = [lvl.size for lvl in h.levels]
         assert sizes[-1] <= 200
@@ -117,7 +117,7 @@ class TestHierarchy:
         ds = make_imbalanced_gaussians(n=2080, d=4, minority_frac=80 / 2080.0,
                                        separation=3.0, seed=2)
         view = binary_view(ds, 1)
-        h = build_hierarchy(ds, view, KnnConfig(k=5),
+        h = build_hierarchy(view, KnnConfig(k=5),
                             FrameworkConfig(coarsest_max=160, q_dt=5000))
         assert h.n_levels >= 2
         minority_sets = [lvl.pos_rows for lvl in h.levels]
@@ -131,7 +131,7 @@ class TestHierarchy:
     def test_stall_guard_flags_and_stops(self):
         ds = make_separable_blobs(n=400, d=3, seed=3)
         view = binary_view(ds, 1)
-        h = build_hierarchy(ds, view, KnnConfig(k=5),
+        h = build_hierarchy(view, KnnConfig(k=5),
                             FrameworkConfig(coarsest_max=100, q=0.99))
         assert h.stalled
         assert h.n_levels == 1
@@ -141,14 +141,14 @@ class TestHierarchy:
         from mlsvm.data import inject_missing
         noisy = inject_missing(ds, 0.1, seed=0)
         with pytest.raises(ValueError, match="impute"):
-            build_hierarchy(noisy, binary_view(noisy, 1))
+            build_hierarchy(binary_view(noisy, 1))
 
     def test_tiny_class_rejected(self):
         x = np.random.default_rng(5).normal(size=(10, 2))
         labels = np.array([1] + [2] * 9)
         ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
         with pytest.raises(ValueError, match="at least 2"):
-            build_hierarchy(ds, binary_view(ds, 1))
+            build_hierarchy(binary_view(ds, 1))
 
 
 class TestPairing:
@@ -182,15 +182,15 @@ class TestRefinement:
         ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
         view = binary_view(ds, 1)
         fw = FrameworkConfig(coarsest_max=coarsest_max, q_dt=q_dt, seed=seed)
-        h = build_hierarchy(ds, view, KnnConfig(k=5), fw)
+        h = build_hierarchy(view, KnnConfig(k=5), fw)
         ud = UdConfig(internal_cv_folds=3)
-        sol = train_coarsest(ds, view, h, False, ud, None, fw)
+        sol = train_coarsest(view, h, False, ud, None, fw)
         return ds, view, fw, h, ud, sol
 
     def test_direct_branch_reruns_model_selection(self):
         ds, view, fw, h, ud, sol = self.build(q_dt=100000)
         assert h.n_levels >= 2
-        refined = refine_level(ds, view, h, h.n_levels - 2, sol, False, ud, None, fw)
+        refined = refine_level(view, h, h.n_levels - 2, sol, False, ud, None, fw)
         assert refined.n_pairs is None
         assert refined.model is not None
         level_rows = np.concatenate([h.levels[h.n_levels - 2].pos_rows,
@@ -201,7 +201,7 @@ class TestRefinement:
         ds, view, fw, h, ud, sol = self.build(n=900, q_dt=80, coarsest_max=60,
                                               overlap=0.6)
         level = h.n_levels - 2
-        refined = refine_level(ds, view, h, level, sol, False, ud, None, fw)
+        refined = refine_level(view, h, level, sol, False, ud, None, fw)
         if refined.n_pairs is None:
             pytest.skip("training set stayed below the cluster threshold")
         assert (refined.c, refined.gamma) == (sol.c, sol.gamma)
@@ -212,7 +212,7 @@ class TestRefinement:
         ds, view, fw, h, ud, sol = self.build(n=900, q_dt=80, coarsest_max=60,
                                               overlap=0.6)
         level = h.n_levels - 2
-        refined = refine_level(ds, view, h, level, sol, False, ud, None, fw)
+        refined = refine_level(view, h, level, sol, False, ud, None, fw)
         if refined.n_pairs is None:
             pytest.skip("training set stayed below the cluster threshold")
         k_pos, k_neg = refined.n_clusters
@@ -224,7 +224,7 @@ class TestRefinement:
         empty = LevelSolution(support_rows=np.array([], dtype=np.int64),
                               c=1.0, gamma=0.1)
         with pytest.raises(ValueError, match="no support vectors"):
-            refine_level(ds, view, h, 0, empty, False, ud, None, fw)
+            refine_level(view, h, 0, empty, False, ud, None, fw)
 
 
 class TestTrainMultilevel:
@@ -294,14 +294,20 @@ class TestTrainMultilevel:
         ds = make_separable_blobs(n=1200, d=4, seed=11)
         view = binary_view(ds, 1)
         fw = FrameworkConfig(coarsest_max=100, q_dt=300, seed=2)
-        h = build_hierarchy(ds, view, KnnConfig(k=5), fw)
+        h = build_hierarchy(view, KnnConfig(k=5), fw)
         ud = UdConfig(internal_cv_folds=3)
-        sol = train_coarsest(ds, view, h, False, ud, None, fw)
+        sol = train_coarsest(view, h, False, ud, None, fw)
         for level in range(h.n_levels - 2, -1, -1):
-            sol = refine_level(ds, view, h, level, sol, False, ud, None, fw)
+            sol = refine_level(view, h, level, sol, False, ud, None, fw)
             lvl_rows = np.concatenate([h.levels[level].pos_rows,
                                        h.levels[level].neg_rows])
             assert np.isin(sol.support_rows, lvl_rows).all()
+
+    def test_view_of_another_dataset_rejected(self):
+        ds = make_separable_blobs(n=200, d=3, seed=14)
+        other = make_separable_blobs(n=200, d=3, seed=15)
+        with pytest.raises(ValueError, match="not a view of data"):
+            train_multilevel(other, binary_view(ds, 1))
 
     def test_deterministic_given_seed(self):
         ds = make_separable_blobs(n=800, d=3, seed=13)

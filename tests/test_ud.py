@@ -116,6 +116,26 @@ class TestWinner:
             ud_search(view, rows, False, UdConfig(), seed=0)
 
 
+class TestCvFolds:
+    def test_every_training_part_keeps_both_classes(self):
+        # ud_search runs min(folds, n_pos, n_neg) folds and trains on every
+        # training part, so none may lose a class
+        rng = np.random.default_rng(21)
+        checked = 0
+        for trial in range(400):
+            n = int(rng.integers(4, 60))
+            y = np.where(rng.random(n) < rng.random(), 1.0, -1.0)
+            folds = min(5, int((y > 0).sum()), int((y < 0).sum()))
+            if folds < 2:
+                continue
+            assign = stratified_folds(y, folds, seed=trial)
+            for f in range(folds):
+                train = y[assign != f]
+                assert (train > 0).any() and (train < 0).any(), (trial, f)
+            checked += 1
+        assert checked >= 200
+
+
 class TestAgainstGridOracle:
     def test_ud_winner_close_to_exhaustive_grid(self):
         ds = overlapping_blobs(200, seed=11)
