@@ -27,9 +27,11 @@ from mlsvm.multilevel import FrameworkConfig, Hierarchy, train_multilevel
 from mlsvm.svm import (
     ClassWeights,
     KernelParams,
+    Pipeline,
     SolverConfig,
     SvmModel,
     dual_objective,
+    fit_pipeline,
     load_any_model,
     predict,
     save_any_model,
@@ -57,6 +59,7 @@ __all__ = [
     "MeanImputer",
     "Metrics",
     "NormalizationStats",
+    "Pipeline",
     "RemConfig",
     "RemImputer",
     "SolverConfig",
@@ -70,6 +73,7 @@ __all__ = [
     "dual_objective",
     "fit_imputer",
     "fit_normalization",
+    "fit_pipeline",
     "inject_missing",
     "knn_recall",
     "load_any_model",

@@ -1,5 +1,9 @@
 """Command-line interface: impute, train, predict, evaluate, benchmark.
 
+``train`` writes normalization, imputer and model as one v2 pipeline file,
+and ``predict`` applies it to raw rows, ``?`` cells included, as ``evaluate``
+does to each held-out fold. A v1 model file is applied to rows as given.
+
 Flags may also come from a ``--config`` file of ``key=value`` lines (keys are
 the long flag names); explicit flags override config values. Exit codes:
 0 success, 1 user or data error, 2 internal error.
@@ -11,15 +15,18 @@ import argparse
 import dataclasses
 import sys
 
-from mlsvm.data import binary_view, load_dataset, write_dataset
+import numpy as np
+
+from mlsvm.data import NormalizationStats, binary_view, load_dataset, write_dataset
 from mlsvm.evaluation import (METHODS, BenchmarkPlan, default_positive_class,
                               format_one_vs_all_table, one_against_all,
                               run_benchmark, run_cv, train_method)
 from mlsvm.imputation import IMPUTERS, RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
 from mlsvm.multilevel import FrameworkConfig
-from mlsvm.svm import (KernelParams, SolverConfig, class_weights, load_any_model,
-                       predict, save_any_model, train_svm)
+from mlsvm.svm import (KernelParams, Pipeline, SolverConfig, SvmModel,
+                       class_weights, fit_pipeline, load_any_model,
+                       save_any_model, train_svm)
 from mlsvm.ud import UdConfig
 
 
@@ -140,7 +147,6 @@ def build_parser() -> _Parser:
     one_or_all.add_argument("--all-classes", action="store_true",
                             help="one-against-all over every class")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--normalize-scope", choices=("fold", "global"), default="fold")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
@@ -153,13 +159,13 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", default="svm,wsvm,mlsvm,mlwsvm")
     p.add_argument("--positive-class", type=int, default=None)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--normalize-scope", choices=("fold", "global"), default="fold")
     p.add_argument("--name", default=None, help="dataset label in the table")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_benchmark)
     for p in sub.choices.values():
         p.allow_abbrev = False     # "--gamma" must not match "--gamma-range"
+    parser.commands = sub.choices
     return parser
 
 
@@ -190,6 +196,14 @@ def _load(args):
     return load_dataset(args.infile, args.format, label_column=label_column,
                         missing_token=args.missing_token,
                         delimiter=args.delimiter, n_features=args.n_features)
+
+
+def _about(path, fn, *args):
+    """fn(*args), with path put before the message of a ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from exc
 
 
 def _config(cls, args):
@@ -227,18 +241,17 @@ def cmd_train(args) -> int:
     if args.c_fixed is not None and args.method not in ("svm", "wsvm"):
         raise ValueError("--C/--gamma are only for flat methods; multilevel "
                          "training selects hyperparameters internally")
-    data = _load(args)
-    if data.has_missing():
-        data = fit_imputer(args.imputer, data, _config(RemConfig, args))[1]
+    pipe, data = _about(args.infile, fit_pipeline, _load(args), args.imputer,
+                        _config(RemConfig, args))
     view = binary_view(data, default_positive_class(data, args.positive_class))
     if args.c_fixed is None:
-        model, report = train_method(view, args.method, args.seed,
-                                     **_train_kwargs(args))
+        pipe.model, report = train_method(view, args.method, args.seed,
+                                          **_train_kwargs(args))
     else:
         weights = class_weights(args.c_fixed, args.method == "wsvm", view.y())
-        model = train_svm(view, weights, KernelParams(args.gamma),
-                          _config(SolverConfig, args))
-    save_any_model(model, args.model)
+        pipe.model = train_svm(view, weights, KernelParams(args.gamma),
+                               _config(SolverConfig, args))
+    save_any_model(pipe, args.model)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.format_table())
@@ -246,14 +259,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_any_model(args.model)
+    pipe = load_any_model(args.model)
+    if isinstance(pipe, SvmModel):     # v1: rows as given, no imputer
+        n = pipe.n_features
+        pipe = Pipeline(NormalizationStats(np.zeros(n), np.ones(n),
+                                           np.zeros(n, dtype=bool)), None, pipe)
     data = _load(args)
-    if data.has_missing():
-        raise ValueError("prediction input has missing cells; impute first")
-    if data.n_features != model.n_features:
+    if data.n_features != pipe.model.n_features:
         raise ValueError("%s has %d features but model %s has %d" % (
-            args.infile, data.n_features, args.model, model.n_features))
-    labels, margins = predict(model, data.features)
+            args.infile, data.n_features, args.model, pipe.model.n_features))
+    labels, margins = _about(args.infile, pipe.predict, data)
     with open(args.out, "w", encoding="utf-8") as fh:
         for lab, marg in zip(labels, margins):
             fh.write("%d %.17g\n" % (int(lab), marg))
@@ -270,8 +285,7 @@ def _train_kwargs(args):
 
 
 def _cv_kwargs(args):
-    return dict(_train_kwargs(args), rem_config=_config(RemConfig, args),
-                normalize_scope=args.normalize_scope)
+    return dict(_train_kwargs(args), rem_config=_config(RemConfig, args))
 
 
 def _emit(text: str, out) -> int:
@@ -312,10 +326,14 @@ def cmd_benchmark(args) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config", default=None)
+    # --config in full or as a prefix that abbreviates no other flag of the
+    # command: on train, --c and --co could be --c-range or --coarsest-max
+    sub = parser.commands.get(argv[0] if argv else None)
+    flags = sub._option_string_actions if sub is not None else ()
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument(*[s for s in ("--config"[:n] for n in range(3, 9))
+                       if not any(f.startswith(s) for f in flags)], dest="config")
     try:
-        # every spelling of --config is taken out here, abbreviated ones too
         known, argv = pre.parse_known_args(argv)
         if known.config is not None:
             # after the subcommand and before the explicit flags, which win

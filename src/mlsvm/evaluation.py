@@ -1,8 +1,9 @@
 """Cross-validated evaluation, one-against-all orchestration, and benchmarks.
 
-Every fold fits normalization and imputation on its training rows only and
-applies the fitted transforms to the held-out rows, so no statistic ever
-travels from test to train.
+Every fold fits a Pipeline (normalization, then imputation) on its training
+rows only, trains on them, and applies the pipeline to its raw held-out rows,
+as ``mlsvm train`` and ``mlsvm predict`` do, so no statistic ever travels
+from test to train.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mlsvm.data import (BinaryView, Dataset, apply_normalization, binary_view,
-                        fit_normalization, inject_missing, take_rows)
-from mlsvm.imputation import IMPUTERS, RemConfig, fit_imputer
+from mlsvm.data import BinaryView, Dataset, binary_view, inject_missing, take_rows
+from mlsvm.imputation import IMPUTERS, RemConfig
 from mlsvm.knn import KnnConfig
 from mlsvm.metrics import ConfusionMatrix, Metrics, compute_metrics, stratified_folds
 from mlsvm.multilevel import FrameworkConfig, train_multilevel
 from mlsvm.rng import child_seed
-from mlsvm.svm import KernelParams, SolverConfig, predict, train_svm
+from mlsvm.svm import KernelParams, SolverConfig, fit_pipeline, predict, train_svm
 from mlsvm.ud import UdConfig, ud_search
 
 METHODS = ("svm", "wsvm", "mlsvm", "mlwsvm")
@@ -139,36 +139,20 @@ def run_cv(data: Dataset, positive_class: int, method: str,
            ud_config: UdConfig | None = None,
            solver_config: SolverConfig | None = None,
            fw_config: FrameworkConfig | None = None,
-           rem_config: RemConfig | None = None,
-           normalize_scope: str = "fold") -> EvalReport:
+           rem_config: RemConfig | None = None) -> EvalReport:
     """Stratified k-fold evaluation of one method on one binary view."""
     if method not in METHODS:
         raise ValueError("unknown method %r" % method)
-    if imputer not in IMPUTERS:
-        raise ValueError("unknown imputer %r" % imputer)
-    if imputer == "none" and data.has_missing():
-        raise ValueError("imputer='none' but the data has missing cells")
-    if normalize_scope not in ("fold", "global"):
-        raise ValueError("normalize_scope must be 'fold' or 'global'")
     if positive_class not in data.class_names:
         raise ValueError("class %r not in dataset" % positive_class)
     y_signed = np.where(data.labels == positive_class, 1, -1)
     assign = stratified_folds(y_signed, folds, seed)
-    global_stats = fit_normalization(data, np.arange(data.n_rows)) \
-        if normalize_scope == "global" else None
 
     def one_fold(f: int) -> FoldResult:
-        train_rows = np.flatnonzero(assign != f)
-        test_rows = np.flatnonzero(assign == f)
-        stats = global_stats if global_stats is not None \
-            else fit_normalization(data, train_rows)
-        normed = apply_normalization(data, stats)
-        train_ds = take_rows(normed, train_rows)
-        test_ds = take_rows(normed, test_rows)
         t0 = time.perf_counter()
-        imp, train_ds = fit_imputer(imputer, train_ds, rem_config)
-        if imp is not None:
-            test_ds = imp.transform(test_ds)
+        pipe, train_ds = fit_pipeline(take_rows(data, np.flatnonzero(assign != f)),
+                                      imputer, rem_config)
+        test_ds = pipe.transform(take_rows(data, np.flatnonzero(assign == f)))
         t1 = time.perf_counter()
         model, _ = train_method(binary_view(train_ds, positive_class), method,
                                 child_seed(seed, "fold", f),

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mlsvm.data import BinaryView
+from mlsvm.data import (BinaryView, Dataset, NormalizationStats,
+                        apply_normalization, fit_normalization)
+from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, fit_imputer
 
 _TAU = 1e-12
 _MAX_ITERATIONS = 1_000_000   # SMO steps before giving up on the tolerance
@@ -314,10 +316,62 @@ def kkt_violation(model: SvmModel, view: BinaryView, rows=None) -> float:
     return worst
 
 
-def save_any_model(model: SvmModel, path) -> None:
-    """Write the model as structured text lines (17 significant digits)."""
+@dataclass
+class Pipeline:
+    """Normalization and imputer fitted on training rows, and the model:
+    transform() z-scores raw rows with the training statistics and completes
+    their missing cells with the imputer; predict() classifies the result."""
+
+    stats: NormalizationStats
+    imputer: RemImputer | MeanImputer | None
+    model: SvmModel | None = None     # set once trained
+
+    def transform(self, data: Dataset) -> Dataset:
+        data = apply_normalization(data, self.stats)
+        if self.imputer is None and data.has_missing():
+            raise ValueError("input has missing cells and the model has no imputer")
+        return data if self.imputer is None else self.imputer.transform(data)
+
+    def predict(self, data: Dataset):
+        """Labels and margins, as predict() gives them, for raw rows of data."""
+        return predict(self.model, self.transform(data).features)
+
+
+def fit_pipeline(data: Dataset, imputer: str = "rem",
+                 config: RemConfig | None = None):
+    """Fit normalization on every row of data, then the named imputer (see
+    fit_imputer) on the normalized rows; return the Pipeline, with no model
+    yet, and data normalized and completed by it."""
+    stats = fit_normalization(data, np.arange(data.n_rows))
+    imp, done = fit_imputer(imputer, apply_normalization(data, stats), config)
+    return Pipeline(stats, imp), done
+
+
+def _vector(key: str, values) -> str:
+    return " ".join([key] + ["%.17g" % v for v in np.ravel(values)])
+
+
+def _pipeline_lines(pipe: Pipeline) -> list[str]:
+    imp, stats = pipe.imputer, pipe.stats
+    lines = [_vector("norm_mean", stats.mean), _vector("norm_std", stats.std),
+             _vector("norm_constant", stats.constant.astype(int))]
+    if imp is None:
+        return lines + ["imputer none"]
+    if isinstance(imp, MeanImputer):
+        return lines + ["imputer mean", _vector("imputer_mean", imp.mean_)]
+    reg = imp.config.regularization
+    return lines + ["imputer rem", "rem_n %d" % imp.n_, _vector("rem_mean", imp.mean_),
+                    _vector("rem_scatter", imp.scatter_), "rem_regularization "
+                    + ("auto" if reg is None else "%.17g" % reg)]
+
+
+def save_any_model(model: SvmModel | Pipeline, path) -> None:
+    """Write an SvmModel as an mlsvm-model v1 file, or a Pipeline as v2 (v1's
+    lines plus its normalization and imputer state), at 17 significant digits."""
+    pipe = model if isinstance(model, Pipeline) else None
+    model = model.model if pipe else model
     lines = [
-        "mlsvm-model v1",
+        "mlsvm-model v2" if pipe else "mlsvm-model v1",
         "kernel rbf",
         "gamma %.17g" % model.kernel.gamma,
         "c_plus %.17g" % model.weights.c_plus,
@@ -325,18 +379,17 @@ def save_any_model(model: SvmModel, path) -> None:
         "bias %.17g" % model.bias,
         "n_features %d" % model.n_features,
         "n_sv %d" % model.n_sv,
-    ]
+    ] + (_pipeline_lines(pipe) if pipe else [])
     for i in range(model.n_sv):
-        feats = " ".join("%.17g" % v for v in model.sv_features[i])
-        lines.append("sv %d %.17g %s" % (int(model.sv_labels[i]),
-                                         model.sv_alphas[i], feats))
+        lines.append(_vector("sv %d" % model.sv_labels[i],
+                             np.r_[model.sv_alphas[i], model.sv_features[i]]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_any_model(path) -> SvmModel:
-    """Read a file written by save_any_model; a malformed file, or any header
-    other than mlsvm-model v1, raises ValueError naming the path."""
+def load_any_model(path) -> SvmModel | Pipeline:
+    """Read a file written by save_any_model (v1: SvmModel, v2: Pipeline); a
+    malformed file, or any other header, raises ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     try:
@@ -357,25 +410,35 @@ def _number(no: int, key: str, tok: str, kind=float):
     return value
 
 
-def _model_from_lines(lines: list[str]) -> SvmModel:
-    if not lines or lines[0] != "mlsvm-model v1":
-        raise ValueError("not an mlsvm-model v1 file")
+def _field(header: dict, key: str, count: int | None = None, kind=float):
+    """The one value of header key, an array of its count values, or (kind
+    None) its tokens; a missing key, count or bad value raises ValueError."""
+    if key not in header:
+        raise ValueError("model file lacks %s" % key)
+    no, toks = header[key]
+    if kind is None:
+        return toks
+    if len(toks) != (count or 1):
+        raise ValueError("line %d: %s needs %s" % (no, key, "exactly one value"
+                         if count is None else "%d values" % count))
+    values = [_number(no, key, tok, kind) for tok in toks]
+    return values[0] if count is None else np.array(values)
+
+
+def _model_from_lines(lines: list[str]) -> SvmModel | Pipeline:
+    version = lines[0] if lines else ""
+    if version not in ("mlsvm-model v1", "mlsvm-model v2"):
+        raise ValueError("not an mlsvm-model v1 file or v2 pipeline")
     header, svs = {}, []
     for no, ln in enumerate(lines[1:], 2):
         toks = ln.split()
         if toks[:1] == ["sv"]:
             svs.append((no, toks[1:]))
         elif toks:
-            if len(toks) != 2:
-                raise ValueError("line %d: %s needs exactly one value" % (no, toks[0]))
-            header[toks[0]] = (no, toks[0], toks[1])
-    absent = [k for k in ("gamma", "c_plus", "c_minus", "bias", "n_features", "n_sv")
-              if k not in header]
-    if absent:
-        raise ValueError("model file lacks %s" % ", ".join(absent))
-    gamma, c_plus, c_minus, bias = (_number(*header[k])
+            header[toks[0]] = (no, toks[1:])
+    gamma, c_plus, c_minus, bias = (_field(header, k)
                                     for k in ("gamma", "c_plus", "c_minus", "bias"))
-    n_features, n_sv = (_number(*header[k], kind=int) for k in ("n_features", "n_sv"))
+    n_features, n_sv = (_field(header, k, kind=int) for k in ("n_features", "n_sv"))
     if len(svs) != n_sv:
         raise ValueError("expected %d support vectors, found %d" % (n_sv, len(svs)))
     table = np.zeros((n_sv, 2 + n_features))
@@ -388,7 +451,7 @@ def _model_from_lines(lines: list[str]) -> SvmModel:
             raise ValueError("line %d: sv label %r is not +1 or -1" % (no, toks[0]))
         table[i] = [label, _number(no, "sv alpha", toks[1])] + [
             _number(no, "sv feature", tok) for tok in toks[2:]]
-    return SvmModel(
+    model = SvmModel(
         sv_features=np.ascontiguousarray(table[:, 2:]),
         sv_labels=table[:, 0].copy(),
         sv_alphas=table[:, 1].copy(),
@@ -396,3 +459,27 @@ def _model_from_lines(lines: list[str]) -> SvmModel:
         kernel=KernelParams(gamma),
         weights=ClassWeights(c_plus, c_minus),
     )
+    return model if version.endswith("v1") else _pipeline_from(header, model)
+
+
+def _pipeline_from(header: dict, model: SvmModel) -> Pipeline:
+    p = model.n_features
+    std = _field(header, "norm_std", p)
+    constant = _field(header, "norm_constant", p, kind=int)
+    if (std <= 0).any() or (constant > 1).any():
+        raise ValueError("norm_std must be positive and norm_constant 0 or 1")
+    stats = NormalizationStats(_field(header, "norm_mean", p), std, constant == 1)
+    imp, kind = None, _field(header, "imputer", kind=None)
+    if kind == ["mean"]:
+        imp = MeanImputer()
+        imp.mean_ = _field(header, "imputer_mean", p)
+    elif kind == ["rem"]:
+        reg = _field(header, "rem_regularization", kind=None)
+        imp = RemImputer(RemConfig(regularization=None if reg == ["auto"] else
+                                   _field(header, "rem_regularization")))
+        imp.n_ = _field(header, "rem_n", kind=int)
+        imp.mean_ = _field(header, "rem_mean", p)
+        imp.scatter_ = _field(header, "rem_scatter", p * p).reshape(p, p)
+    elif kind != ["none"]:
+        raise ValueError("imputer %r is not rem, mean or none" % " ".join(kind))
+    return Pipeline(stats, imp, model)

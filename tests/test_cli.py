@@ -2,18 +2,24 @@ import numpy as np
 import pytest
 
 from mlsvm.cli import _config, build_parser, main
-from mlsvm.data import binary_view, inject_missing, load_dataset, write_dataset
-from mlsvm.evaluation import default_positive_class
+from mlsvm.data import (Dataset, binary_view, inject_missing, load_dataset,
+                        take_rows, write_dataset)
+from mlsvm.evaluation import default_positive_class, run_cv
 from mlsvm.imputation import RemConfig, fit_imputer
 from mlsvm.knn import KnnConfig
+from mlsvm.metrics import ConfusionMatrix, stratified_folds
 from mlsvm.multilevel import FrameworkConfig
-from mlsvm.svm import SolverConfig
+from mlsvm.rng import child_seed
+from mlsvm.svm import SolverConfig, fit_pipeline
 from mlsvm.synth import make_separable_blobs
 from mlsvm.ud import UdConfig, ud_search
 
 CONFIGS = (RemConfig, UdConfig, SolverConfig, KnnConfig, FrameworkConfig)
 MODEL = ("mlsvm-model v1\nkernel rbf\ngamma 0.5\nc_plus 1\nc_minus 1\nbias 0\n"
          "n_features 3\nn_sv 1\nsv 1 0.5 0 0 0\n")
+PIPELINE = MODEL.replace("v1", "v2") + (
+    "norm_mean 0 0 0\nnorm_std 1 1 1\nnorm_constant 0 0 0\n"
+    "imputer mean\nimputer_mean 0 0 0\n")
 FLAGS = [   # config flag, its text, the config it sets, the field, the value
     ("--c-range", "0.1,10", UdConfig, "c_range", (0.1, 10.0)),
     ("--gamma-range", "0.01,2", UdConfig, "gamma_range", (0.01, 2.0)),
@@ -168,7 +174,7 @@ class TestTrain:
                    "--method", "wsvm", "--ud-folds", "3", "--seed", "4",
                    "--report", str(report)])
         assert rc == 0
-        ds = load_dataset(clean_csv)
+        _, ds = fit_pipeline(load_dataset(clean_csv))   # the rows train fits on
         outcome = ud_search(binary_view(ds, default_positive_class(ds)),
                             np.arange(ds.n_rows), True,
                             UdConfig(internal_cv_folds=3), SolverConfig(), seed=4)
@@ -266,10 +272,30 @@ class TestPredict:
         (MODEL.replace("sv 1 0.5 0 0 0", "sv 1 0.5 0 0"), "line 9: sv needs"),
         (MODEL.replace("n_features 3", "n_features 2").replace(
             "sv 1 0.5 0 0 0", "sv 1 0.5 0 0"), "{data} has 3 features but model"),
+        (PIPELINE.replace("n_features 3", "n_features 2").replace(
+            " 0 0 0\n", " 0 0\n").replace(" 1 1 1\n", " 1 1\n"),
+         "{data} has 3 features but model"),
+        (PIPELINE.replace("norm_mean 0 0 0", "norm_mean 0 0"),
+         "line 10: norm_mean needs 3 values"),
+        (PIPELINE.replace("norm_mean 0 0 0", "norm_mean 0 nan 0"),
+         "line 10: norm_mean has invalid value 'nan'"),
+        (PIPELINE.replace("norm_std 1 1 1", "norm_std 1 0 1"),
+         "norm_std must be positive"),
+        (PIPELINE.replace("norm_constant 0 0 0", "norm_constant 0 2 0"),
+         "norm_constant 0 or 1"),
+        (PIPELINE.replace("imputer mean", "imputer knn"),
+         "imputer 'knn' is not rem, mean or none"),
+        (PIPELINE.replace("imputer_mean 0 0 0\n", ""), "lacks imputer_mean"),
+        (PIPELINE.replace("imputer mean\nimputer_mean 0 0 0",
+                          "imputer rem\nrem_n 9\nrem_mean 0 0 0\n"
+                          "rem_regularization auto"), "lacks rem_scatter"),
     ], ids=["ensemble-header-only", "no-n-features", "short-sv-line",
             "ensemble-file", "nan-bias", "bias-without-value", "inf-gamma",
             "nan-c-plus", "minus-inf-c-minus", "nan-alpha", "inf-sv-feature",
-            "sv-label-7", "sv-line-one-feature-short", "data-model-feature-count"])
+            "sv-label-7", "sv-line-one-feature-short", "data-model-feature-count",
+            "v2-data-model-feature-count", "v2-short-norm-mean",
+            "v2-nan-norm-mean", "v2-zero-std", "v2-constant-flag-2",
+            "v2-unknown-imputer", "v2-no-imputer-mean", "v2-no-rem-scatter"])
     def test_malformed_model_file_exits_1(self, text, where, clean_csv,
                                           tmp_path, capsys):
         model = tmp_path / "bad.model"
@@ -282,6 +308,42 @@ class TestPredict:
         assert err.startswith("error: ") and str(model) in err
         assert where.format(data=clean_csv) in err
         assert not out.exists() or "nan" not in out.read_text()
+
+
+def scaled_incomplete(n=400, seed=0):
+    """?-celled rows on feature scales 0.02 to 200, 15% of them class 1."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.15, 1, 2)
+    x = rng.standard_normal((n, 4)) + np.where(y[:, None] == 1, 1.0, -0.2)
+    mask = rng.random(x.shape) < 0.1
+    mask[mask.all(axis=1), 0] = False
+    return Dataset(x * [0.02, 1.0, 20.0, 200.0], mask, y,
+                   tuple(dict.fromkeys(y.tolist())))
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("method", ["wsvm", "mlwsvm"])
+    def test_train_then_predict_matches_run_cv(self, method, tmp_path):
+        data, seed = scaled_incomplete(), 5
+        report = run_cv(data, 1, method, folds=2, seed=seed,
+                        ud_config=UdConfig(internal_cv_folds=3),
+                        fw_config=FrameworkConfig(coarsest_max=60, q_dt=150))
+        assign = stratified_folds(np.where(data.labels == 1, 1, -1), 2, seed)
+        model, preds = str(tmp_path / "m.model"), str(tmp_path / "p.txt")
+        for f, fold in enumerate(report.folds):
+            train, test = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+            write_dataset(take_rows(data, np.flatnonzero(assign != f)), train)
+            write_dataset(take_rows(data, np.flatnonzero(assign == f)), test)
+            assert main(["train", "--in", train, "--model", model,
+                         "--method", method, "--positive-class", "1",
+                         "--seed", str(child_seed(seed, "fold", f)),
+                         "--ud-folds", "3", "--coarsest-max", "60",
+                         "--Qdt", "150"]) == 0
+            assert main(["predict", "--in", test, "--model", model,
+                         "--out", preds]) == 0
+            got = np.loadtxt(preds)[:, 0]
+            want = np.where(load_dataset(test).labels == 1, 1, -1)
+            assert ConfusionMatrix.from_predictions(want, got) == fold.cm, f
 
 
 class TestEvaluate:
@@ -400,6 +462,19 @@ class TestConfigFile:
         assert not model.exists()
 
 
+    @pytest.mark.parametrize("spelling", [["--c", "1,10"], ["--co", "x"]],
+                             ids=["c", "co"])
+    def test_prefix_of_another_flag_is_not_config(self, spelling, clean_csv,
+                                                  tmp_path, capsys):
+        model = tmp_path / "m.model"
+        rc = main(["train", "--in", clean_csv, "--model", str(model)] + spelling)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert "unrecognized arguments: %s" % " ".join(spelling) in err
+        assert not model.exists()
+
+
 class TestConfigFlags:
     @pytest.mark.parametrize("flag, text, cls, field, value", FLAGS,
                              ids=["%s=%s" % row[:2] for row in FLAGS])
@@ -465,7 +540,11 @@ class TestSolverFlags:
                       str(tmp_path / "full.csv"), "--seed", "1"],
                      ["predict", "--in", clean_csv, "--model",
                       str(tmp_path / "m.model"), "--out",
-                      str(tmp_path / "p.txt"), "--seed", "1"]):
+                      str(tmp_path / "p.txt"), "--seed", "1"],
+                     ["evaluate", "--in", clean_csv, "--imputer", "none",
+                      "--normalize-scope", "fold"],
+                     ["benchmark", "--in", clean_csv, "--imputer", "none",
+                      "--normalize-scope", "global"]):
             assert main(argv) == 1, argv
             assert "usage error" in capsys.readouterr().err
 
@@ -485,12 +564,84 @@ class TestSolverFlags:
         assert not (tmp_path / "m.model").exists()
 
 
+def robustness_inputs(folder):
+    """Input files, by name, for the robustness table."""
+    ds = make_separable_blobs(n=60, d=3, seed=4)
+    rows = [x + [lab] for x, lab in zip(ds.features.tolist(), ds.labels.tolist())]
+    tables = {
+        "clean": rows,
+        "all-missing-column": [r[:1] + ["?"] + r[2:] for r in rows],
+        "single-class": [r[:3] + [1] for r in rows],
+        "constant-column": [r[:2] + [5.0, r[3]] for r in rows],
+        "duplicate-rows": rows + rows,
+        "two-row-minority": ([r for r in rows if r[3] == -1]
+                             + [r for r in rows if r[3] == 1][:2]),
+        "missing-cells": [["?" if (i + j) % 7 == 0 else v for j, v in
+                           enumerate(r[:3])] + r[3:] for i, r in enumerate(rows)],
+    }
+    paths = {}
+    for name, table in tables.items():
+        paths[name] = folder / (name + ".csv")
+        paths[name].write_text("".join(",".join(map(str, r)) + "\n" for r in table))
+    paths["v1"] = folder / "v1.model"
+    paths["v1"].write_text(MODEL)
+    return paths
+
+
+TRAIN = ["train", "--model", "{out}/m.model", "--ud-folds", "2", "--in"]
+PREDICT = ["predict", "--model", "{out}/m.model", "--out", "{out}/p.txt", "--in"]
+ROBUSTNESS = [   # id, commands in order, last command's exit code (None: 0 or 1)
+    ("all-missing-column", [TRAIN + ["{all-missing-column}"],
+                            PREDICT + ["{all-missing-column}"]], None),
+    ("single-class", [TRAIN + ["{single-class}"], PREDICT + ["{single-class}"]],
+     None),
+    ("constant-column", [TRAIN + ["{constant-column}", "--method", "mlwsvm"],
+                         PREDICT + ["{constant-column}"]], None),
+    ("duplicate-rows", [TRAIN + ["{duplicate-rows}", "--method", "mlwsvm",
+                                 "--coarsest-max", "30"],
+                        PREDICT + ["{duplicate-rows}"]], None),
+    ("two-row-minority", [TRAIN + ["{two-row-minority}", "--method", "mlwsvm"],
+                          PREDICT + ["{two-row-minority}"]], None),
+    ("k-100", [TRAIN + ["{clean}", "--method", "mlwsvm", "--k", "100",
+                        "--coarsest-max", "20"], PREDICT + ["{clean}"]], None),
+    ("evaluate-two-row-minority-3-folds",
+     [["evaluate", "--in", "{two-row-minority}", "--method", "wsvm", "--folds",
+       "3", "--ud-folds", "2", "--out", "{out}/e.txt"]], None),
+    ("predict-missing-no-imputer", [TRAIN + ["{clean}", "--imputer", "none"],
+                                    PREDICT + ["{missing-cells}"]], 1),
+    ("train-missing-no-imputer",
+     [TRAIN + ["{missing-cells}", "--imputer", "none"]], 1),
+    ("predict-missing-v1-model",
+     [PREDICT[:2] + ["{v1}"] + PREDICT[3:] + ["{missing-cells}"]], 1),
+]
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("commands, last_rc", [c[1:] for c in ROBUSTNESS],
+                             ids=[c[0] for c in ROBUSTNESS])
+    def test_exit_code_and_no_nan(self, commands, last_rc, tmp_path, capsys):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "out").mkdir()
+        paths = {k: str(v) for k, v in robustness_inputs(tmp_path / "in").items()}
+        paths["out"] = str(tmp_path / "out")
+        for argv in commands:
+            capsys.readouterr()
+            rc = main([tok.format(**paths) for tok in argv])
+            assert rc in (0, 1), argv
+        if last_rc is not None:
+            assert rc == last_rc
+            infile = argv[argv.index("--in") + 1].format(**paths)
+            assert "error: %s: " % infile in capsys.readouterr().err
+        for out in (tmp_path / "out").iterdir():
+            assert "nan" not in out.read_text().lower(), out.name
+
+
 class TestHelp:
     @pytest.mark.parametrize("sub,flags", [
         ("train", ["--method", "--Q", "--Qdt", "--coarsest-max", "--k",
                     "--seed"]),
         ("impute", ["--method", "--max-iters", "--stagnation-tol"]),
-        ("evaluate", ["--folds", "--imputer", "--normalize-scope"]),
+        ("evaluate", ["--folds", "--imputer"]),
         ("benchmark", ["--ratios", "--methods"]),
         ("predict", ["--model", "--out"]),
     ])

@@ -129,15 +129,6 @@ class TestRunCv:
         assert text.splitlines()[0].startswith("fold")
         assert "mean" in text
 
-    def test_global_normalization_scope(self):
-        ds = make_separable_blobs(n=120, d=3, separation=8.0, seed=14)
-        rep = run_cv(ds, 1, "svm", imputer="none", folds=3, seed=0,
-                     ud_config=FAST_UD, normalize_scope="global")
-        assert rep.mean.gmean >= 0.99
-        with pytest.raises(ValueError, match="normalize_scope"):
-            run_cv(ds, 1, "svm", imputer="none", folds=3, seed=0,
-                   ud_config=FAST_UD, normalize_scope="nope")
-
 
 class TestLeakage:
     def corrupt_rows(self, ds, rows):

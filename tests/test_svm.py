@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import mlsvm.svm as svm_module
-from mlsvm.data import Dataset, binary_view
+from mlsvm.data import Dataset, binary_view, inject_missing, take_rows
+from mlsvm.imputation import RemConfig
 from mlsvm.svm import (ClassWeights, KernelParams, SolverConfig, SvmModel,
-                       decision_values, dual_objective, kkt_violation,
-                       load_any_model, predict, save_any_model, train_svm)
+                       decision_values, dual_objective, fit_pipeline,
+                       kkt_violation, load_any_model, predict, save_any_model,
+                       train_svm)
+from mlsvm.synth import make_separable_blobs
 from oracles import linear_matrix, qp_dual_oracle, rbf_matrix
 
 
@@ -348,6 +351,27 @@ class TestModelFile:
         pts = rng.normal(size=(5, 3))
         assert np.array_equal(decision_values(back, pts),
                               decision_values(model, pts))
+
+    @pytest.mark.parametrize("imputer, regularization", [
+        ("rem", None), ("rem", 0.1), ("mean", None), ("none", None)])
+    def test_pipeline_round_trip(self, imputer, regularization, tmp_path):
+        ds = make_separable_blobs(n=120, d=4, seed=3)
+        scaled = Dataset(ds.features * [0.02, 1.0, 20.0, 200.0], ds.missing,
+                         ds.labels, ds.class_names)
+        train, test = take_rows(scaled, range(80)), take_rows(scaled, range(80, 120))
+        if imputer != "none":
+            train = inject_missing(train, 0.1, seed=1)
+            test = inject_missing(test, 0.1, seed=2)
+        pipe, done = fit_pipeline(train, imputer, RemConfig(regularization=regularization))
+        pipe.model = train_svm(binary_view(done, 1), ClassWeights(1.0, 1.0),
+                               KernelParams(0.5))
+        path = tmp_path / "p.model"
+        save_any_model(pipe, path)
+        back = load_any_model(path)
+        for got, want in zip(back.predict(test), pipe.predict(test)):
+            assert got.tobytes() == want.tobytes()
+        save_any_model(back, tmp_path / "again.model")
+        assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
 
     def test_reject_garbage(self, tmp_path):
         p = tmp_path / "bad.model"

@@ -13,11 +13,12 @@ depend on the code under test. Covered: the EM and mean imputers (fit and
 transform), ud_search outcomes with their traces (weighted and unweighted,
 balanced down to a one-row minority), multilevel model files with their
 level tables (direct and cluster-mode refinement), an approximate k-NN graph
-over 21,000 points, the CLI (``train`` for every method, ``predict``,
-``impute``, ``evaluate`` and ``benchmark``), and each perfbench workload's
-trained model and its score op's completed matrix, labels and margins
-(training seed 0, held-out seed 1), using the ops in the ``perfbench``
-directory next to SRC_DIR. The seconds column of a report table is dropped;
+over 21,000 points, the CLI (``train`` for every method, ``predict`` on
+imputed rows and, digesting the exit code with the output, on the raw
+``?``-celled rows, ``impute``, ``evaluate`` and ``benchmark``), and each
+perfbench workload's trained model and its score op's completed matrix,
+labels and margins (training seed 0, held-out seed 1), using the ops in the
+``perfbench`` directory next to SRC_DIR. The seconds column of a report table is dropped;
 everything else is hashed byte for byte. It takes about 50 s on one core.
 """
 
@@ -209,6 +210,13 @@ def cli(m, tmp):
         run_cli(m, ["predict", "--in", path("rem.csv"), "--model", model,
                     "--out", path(name + ".pred")])
         emit("cli.predict.%s" % name, sha(read_bytes(path(name + ".pred"))))
+        # raw ?-celled rows: a model that cannot take them exits 1, writing nothing
+        raw = path(name + ".raw.pred")
+        with contextlib.redirect_stderr(io.StringIO()):
+            rc = m.cli.main(["predict", "--in", path("noisy.csv"), "--model", model,
+                             "--out", raw])
+        emit("cli.predict.%s.raw" % name,
+             sha(rc, read_bytes(raw) if os.path.exists(raw) else b""))
 
     for name, argv in (
             ("mlwsvm", ["--in", path("noisy.csv"), "--method", "mlwsvm",
