@@ -21,7 +21,7 @@ from mlsvm.evaluation import (
     train_method,
 )
 from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, fit_imputer
-from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph, knn_recall
+from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
 from mlsvm.metrics import ConfusionMatrix, Metrics, compute_metrics, stratified_folds
 from mlsvm.multilevel import FrameworkConfig, Hierarchy, train_multilevel
 from mlsvm.svm import (
@@ -30,7 +30,6 @@ from mlsvm.svm import (
     Pipeline,
     SolverConfig,
     SvmModel,
-    dual_objective,
     fit_pipeline,
     load_any_model,
     predict,
@@ -70,12 +69,10 @@ __all__ = [
     "binary_view",
     "build_knn_graph",
     "compute_metrics",
-    "dual_objective",
     "fit_imputer",
     "fit_normalization",
     "fit_pipeline",
     "inject_missing",
-    "knn_recall",
     "load_any_model",
     "load_dataset",
     "one_against_all",

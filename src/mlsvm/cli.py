@@ -245,12 +245,12 @@ def cmd_train(args) -> int:
                         _config(RemConfig, args))
     view = binary_view(data, default_positive_class(data, args.positive_class))
     if args.c_fixed is None:
-        pipe.model, report = train_method(view, args.method, args.seed,
-                                          **_train_kwargs(args))
+        pipe.model, report = _about(args.infile, lambda: train_method(
+            view, args.method, args.seed, **_train_kwargs(args)))
     else:
         weights = class_weights(args.c_fixed, args.method == "wsvm", view.y())
-        pipe.model = train_svm(view, weights, KernelParams(args.gamma),
-                               _config(SolverConfig, args))
+        pipe.model = _about(args.infile, train_svm, view, weights,
+                            KernelParams(args.gamma), _config(SolverConfig, args))
     save_any_model(pipe, args.model)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -221,10 +221,6 @@ class RemImputer:
         xc = x - self.mean_
         self.scatter_ = xc.T @ xc
 
-    @property
-    def covariance_(self) -> np.ndarray:
-        return self.scatter_ / (self.n_ - 1)
-
     def _impute_into(self, x: np.ndarray, groups: list) -> np.ndarray:
         """Regress every incomplete row's missing cells; return the ridge strengths."""
         mu = self.mean_

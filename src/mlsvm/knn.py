@@ -298,17 +298,3 @@ def _symmetric_closure(nbr_ids: np.ndarray, n: int):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, keys % n
-
-
-def knn_recall(approx: KnnGraph, exact: KnnGraph) -> float:
-    """Mean fraction of exact neighbors recovered by the approximate lists."""
-    if approx.n_nodes != exact.n_nodes or (approx.node_ids != exact.node_ids).any():
-        raise ValueError("graphs are over different node sets")
-    if approx.k != exact.k:
-        raise ValueError("graphs have different k (%d vs %d)" % (approx.k, exact.k))
-    if exact.k == 0:
-        return 1.0
-    hits = 0
-    for i in range(exact.n_nodes):
-        hits += np.intersect1d(approx.neighbor_ids[i], exact.neighbor_ids[i]).size
-    return hits / (exact.n_nodes * exact.k)

@@ -115,38 +115,58 @@ class SvmModel:
 
 
 def _rbf_block(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel matrix exp(-gamma ||a_i - b_j||^2), shape (len(a), len(b))."""
+    """Kernel matrix exp(-gamma ||a_i - b_j||^2), shape (len(a), len(b)).
+
+    Holds at most two matrices of that shape at once: the steps after the
+    product run in place on the distance matrix.
+    """
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
+    ab = a @ b.T
+    ab *= 2.0
+    d2 = np.add.outer(sq_a, sq_b)
+    d2 -= ab
+    del ab
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-gamma * d2)
+    d2 *= -gamma
+    return np.exp(d2, out=d2)
 
 
 class _RowCache:
-    """LRU cache of kernel rows under a byte budget (0 disables caching)."""
+    """LRU cache of kernel rows under a byte budget (0 disables caching).
+
+    The rows live in one buffer allocated per solve, a fixed slot each; a
+    missed row takes the next free slot, or the least recently used row's
+    once all are taken. A returned row stays valid until two more rows have
+    been fetched. One buffer instead of one array per row leaves no freed
+    rows behind in the heap when the solve ends.
+    """
 
     def __init__(self, x: np.ndarray, gamma: float, budget_bytes: int):
         self.x = x
         self.gamma = gamma
         self.sq = np.einsum("ij,ij->i", x, x)
         n = x.shape[0]
-        self.max_rows = max(2, int(budget_bytes // (8 * max(n, 1)))) if budget_bytes > 0 else 0
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+        slots = min(n, max(2, int(budget_bytes // (8 * max(n, 1))))) if budget_bytes > 0 else 0
+        self._slab = np.empty((slots, n))
+        self._slot: OrderedDict[int, int] = OrderedDict()   # row -> slot, oldest first
 
     def row(self, i: int) -> np.ndarray:
-        r = self._rows.get(i) if self.max_rows else None
-        if r is None:
-            d2 = self.sq + self.sq[i] - 2.0 * (self.x @ self.x[i])
-            np.maximum(d2, 0.0, out=d2)
-            r = np.exp(-self.gamma * d2)
-            if self.max_rows:
-                self._rows[i] = r
-                if len(self._rows) > self.max_rows:
-                    self._rows.popitem(last=False)
-        elif self.max_rows:
-            self._rows.move_to_end(i)
-        return r
+        slot = self._slot.get(i)
+        if slot is not None:
+            self._slot.move_to_end(i)
+            return self._slab[slot]
+        out = None
+        if len(self._slab):
+            if len(self._slot) < len(self._slab):
+                slot = len(self._slot)
+            else:
+                _, slot = self._slot.popitem(last=False)
+            self._slot[i] = slot
+            out = self._slab[slot]
+        d2 = self.sq + self.sq[i] - 2.0 * (self.x @ self.x[i])
+        np.maximum(d2, 0.0, out=d2)
+        return np.exp(-self.gamma * d2, out=out)
 
 
 def _smo_solve(x, y, caps, gamma, config: SolverConfig):
@@ -271,49 +291,6 @@ def predict(model: SvmModel, points: np.ndarray):
     margins = decision_values(model, points)
     labels = np.where(margins > 0, 1.0, -1.0)
     return labels, margins
-
-
-def dual_objective(model: SvmModel) -> float:
-    """sum(alpha) - 0.5 * sum_ij alpha_i alpha_j y_i y_j k(x_i, x_j)."""
-    if model.n_sv == 0:
-        return 0.0
-    k = _rbf_block(model.sv_features, model.sv_features, model.kernel.gamma)
-    coef = model.sv_alphas * model.sv_labels
-    return float(model.sv_alphas.sum() - 0.5 * coef @ k @ coef)
-
-
-def kkt_violation(model: SvmModel, view: BinaryView, rows=None) -> float:
-    """Largest dual-optimality violation over the model's training rows.
-
-    Zero means every point satisfies its condition exactly: margin >= 1 at
-    alpha = 0, margin <= 1 at the class cap, margin = 1 in between. Requires
-    a model trained in-process (sv_rows intact).
-    """
-    if model.sv_rows is None:
-        raise ValueError("model has no training-row bookkeeping")
-    if rows is None:
-        rows = np.arange(view.base.n_rows)
-    rows = np.asarray(rows, dtype=np.int64)
-    x = view.base.features[rows]
-    y = view.y()[rows]
-    f = decision_values(model, x)
-    yf = y * f
-    caps = np.where(y > 0, model.weights.c_plus, model.weights.c_minus)
-    alpha = np.zeros(rows.size)
-    pos_of = {int(r): i for i, r in enumerate(rows)}
-    for i in range(model.n_sv):
-        alpha[pos_of[int(model.sv_rows[i])]] = model.sv_alphas[i]
-    worst = 0.0
-    at_zero = alpha == 0
-    at_cap = alpha >= caps
-    free = ~at_zero & ~at_cap
-    if at_zero.any():
-        worst = max(worst, float(np.max(1.0 - yf[at_zero], initial=0.0)))
-    if at_cap.any():
-        worst = max(worst, float(np.max(yf[at_cap] - 1.0, initial=0.0)))
-    if free.any():
-        worst = max(worst, float(np.max(np.abs(yf[free] - 1.0), initial=0.0)))
-    return worst
 
 
 @dataclass

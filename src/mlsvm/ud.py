@@ -4,9 +4,17 @@ Stage 1 places a fixed low-discrepancy lattice over the log-scaled ranges
 (re-centered on an inherited optimum when one is supplied). Stage 2 places a
 smaller lattice around the stage-1 winner with half-width equal to one
 stage-1 lattice step per axis; the stage-2 center coincides with the winner
-and reuses its score, so a search trains at most 9 + 5 - 1 = 13 distinct
+and reuses its score, so a search scores at most 9 + 5 - 1 = 13 distinct
 candidates. Each candidate is scored by stratified k-fold cross-validation
-on the geometric mean of sensitivity and specificity.
+on the geometric mean of sensitivity and specificity, pooled over the folds.
+
+After each fold, a candidate's pooled G-mean is bounded from above by
+counting every held-out row of its remaining folds as correct. Once that
+bound falls strictly below the best fully scored candidate so far, the
+candidate's remaining folds are skipped and the bound is recorded as its
+score (a deterministic form of racing, Maron & Moore, NIPS 1993). Such a
+candidate can neither win nor tie, so the winner and its score are those of
+the exhaustive search.
 """
 
 from __future__ import annotations
@@ -45,11 +53,14 @@ class UdOutcome:
     gamma: float
     score: float
     weights: ClassWeights
-    trace: list          # (C, gamma, score) per trained candidate
-    evaluations: int     # number of distinct trained candidates
+    # (C, gamma, score, folds_trained) per candidate; a candidate stopped
+    # before its last fold holds its upper bound as score, and folds_trained
+    # counts its SVM solves (1 when scored by training fit)
+    trace: list
+    evaluations: int     # number of distinct scored candidates
 
     def format_table(self) -> str:
-        return "".join("%.17g\t%.17g\t%.6f\n" % t for t in self.trace)
+        return "".join("%.17g\t%.17g\t%.6f\t%d\n" % t for t in self.trace)
 
 
 def _levels(pattern_size: int, lo: float, hi: float, level) -> float:
@@ -91,24 +102,32 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
     else:
         assign = None     # degenerate data: score by training fit
 
-    def evaluate(candidate):
+    def evaluate(candidate, best):
+        """(score, folds trained); stops once the score cannot reach best."""
         c, gamma = candidate
         weights = class_weights(c, weights_mode, y)
         kernel = KernelParams(gamma)
-        cm = ConfusionMatrix()
         if assign is None:
             model = train_svm(view, weights, kernel, solver, rows)
             pred, _ = predict(model, view.base.features[rows])
-            cm = cm + ConfusionMatrix.from_predictions(y, pred)
-        else:
-            # folds <= each class's size, so every training part keeps both classes
-            for f in range(folds):
-                tr = rows[assign != f]
-                te = rows[assign == f]
-                model = train_svm(view, weights, kernel, solver, tr)
-                pred, _ = predict(model, view.base.features[te])
-                cm = cm + ConfusionMatrix.from_predictions(view.y()[te], pred)
-        return compute_metrics(cm).gmean
+            return compute_metrics(ConfusionMatrix.from_predictions(y, pred)).gmean, 1
+        # folds <= each class's size, so every training part keeps both classes
+        cm = ConfusionMatrix()
+        for f in range(folds):
+            tr = rows[assign != f]
+            te = rows[assign == f]
+            model = train_svm(view, weights, kernel, solver, tr)
+            pred, _ = predict(model, view.base.features[te])
+            cm = cm + ConfusionMatrix.from_predictions(view.y()[te], pred)
+            # rows of the folds still to run count as correct; after the last
+            # fold none are left and the bound is the pooled G-mean itself
+            rest = y[assign > f]
+            n_rest_pos = int((rest > 0).sum())
+            bound = compute_metrics(cm + ConfusionMatrix(
+                tp=n_rest_pos, tn=rest.size - n_rest_pos)).gmean
+            if bound < best:
+                break
+        return bound, f + 1
 
     log_c_lo, log_c_hi = np.log10(config.c_range[0]), np.log10(config.c_range[1])
     log_g_lo, log_g_hi = np.log10(config.gamma_range[0]), np.log10(config.gamma_range[1])
@@ -124,15 +143,19 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
         for lc, lg in _STAGE1
     ]
 
-    scores: dict[tuple, float] = {}     # candidates in evaluation order
+    scores: dict[tuple, tuple] = {}     # (score, folds) in evaluation order
+    best = -np.inf                      # best fully scored G-mean so far
 
     def run_batch(cands):
+        nonlocal best
         for cand in cands:
             if cand not in scores:
-                scores[cand] = evaluate(cand)
+                scores[cand] = evaluate(cand, best)
+                # a stopped candidate's bound is below best, so never raises it
+                best = max(best, scores[cand][0])
 
     run_batch(stage1)
-    winner1 = min(stage1, key=lambda cand: (-scores[cand], cand[0], cand[1]))
+    winner1 = min(stage1, key=lambda cand: (-scores[cand][0], cand[0], cand[1]))
 
     step_c = (w_c[1] - w_c[0]) / (runs1 - 1)
     step_g = (w_g[1] - w_g[0]) / (runs1 - 1)
@@ -151,10 +174,10 @@ def ud_search(view: BinaryView, rows, weights_mode: bool,
     # the lattice center duplicates the stage-1 winner and reuses its score
     run_batch(stage2)
 
-    best = min(scores, key=lambda cand: (-scores[cand], cand[0], cand[1]))
+    win = min(scores, key=lambda cand: (-scores[cand][0], cand[0], cand[1]))
     return UdOutcome(
-        c=best[0], gamma=best[1], score=scores[best],
-        weights=class_weights(best[0], weights_mode, y),
-        trace=[(c, gamma, score) for (c, gamma), score in scores.items()],
+        c=win[0], gamma=win[1], score=scores[win][0],
+        weights=class_weights(win[0], weights_mode, y),
+        trace=[(c, gamma, score, n) for (c, gamma), (score, n) in scores.items()],
         evaluations=len(scores),
     )

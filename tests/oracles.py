@@ -1,13 +1,16 @@
 """Independent reference computations used to check the library.
 
 Everything here is deliberately written against the math, not against the
-library's internals: dense projected-gradient ascent for the dual QP, naive
-nearest-neighbor search, and exhaustive grid search.
+library's internals: dense projected-gradient ascent for the dual QP, the
+dual objective and KKT conditions of a trained model, naive nearest-neighbor
+search and neighbor recall, and the covariance behind an imputer's scatter.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from mlsvm.svm import decision_values
 
 
 def rbf_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -70,3 +73,50 @@ def brute_knn(x: np.ndarray, k: int):
         order = sorted(range(n), key=lambda j: (d2[j], j))
         ids[i] = order[:k]
     return ids
+
+
+def dual_objective(model) -> float:
+    """sum(alpha) - 0.5 * sum_ij alpha_i alpha_j y_i y_j k(x_i, x_j)."""
+    if model.n_sv == 0:
+        return 0.0
+    k = rbf_matrix(model.sv_features, model.sv_features, model.kernel.gamma)
+    coef = model.sv_alphas * model.sv_labels
+    return float(model.sv_alphas.sum() - 0.5 * coef @ k @ coef)
+
+
+def kkt_violation(model, view) -> float:
+    """Largest dual-optimality violation over every row of view.
+
+    Zero means every point satisfies its condition exactly: margin >= 1 at
+    alpha = 0, margin <= 1 at the class cap, margin = 1 in between. Needs a
+    model trained in-process on all of view's rows (sv_rows intact).
+    """
+    y = view.y()
+    yf = y * decision_values(model, view.base.features)
+    caps = np.where(y > 0, model.weights.c_plus, model.weights.c_minus)
+    alpha = np.zeros(y.size)
+    alpha[model.sv_rows] = model.sv_alphas
+    at_zero = alpha == 0
+    at_cap = alpha >= caps
+    free = ~at_zero & ~at_cap
+    return max(np.max(1.0 - yf[at_zero], initial=0.0),
+               np.max(yf[at_cap] - 1.0, initial=0.0),
+               np.max(np.abs(yf[free] - 1.0), initial=0.0))
+
+
+def knn_recall(approx, exact) -> float:
+    """Mean fraction of exact neighbors recovered by the approximate lists."""
+    if approx.n_nodes != exact.n_nodes or (approx.node_ids != exact.node_ids).any():
+        raise ValueError("graphs are over different node sets")
+    if approx.k != exact.k:
+        raise ValueError("graphs have different k (%d vs %d)" % (approx.k, exact.k))
+    if exact.k == 0:
+        return 1.0
+    hits = sum(np.intersect1d(a, e).size
+               for a, e in zip(approx.neighbor_ids, exact.neighbor_ids))
+    return hits / (exact.n_nodes * exact.k)
+
+
+def covariance(imputer) -> np.ndarray:
+    """Sample covariance from a fitted RemImputer's scatter matrix."""
+    return imputer.scatter_ / (imputer.n_ - 1)

@@ -20,12 +20,11 @@ from mlsvm.knn import KnnConfig, build_knn_graph
 from mlsvm.metrics import ConfusionMatrix, compute_metrics, stratified_folds
 from mlsvm.multilevel import FrameworkConfig, coarsen_class, train_multilevel
 from mlsvm.rng import child_rng
-from mlsvm.svm import (ClassWeights, KernelParams, dual_objective,
-                       kkt_violation, predict, train_svm)
+from mlsvm.svm import ClassWeights, KernelParams, predict, train_svm
 from mlsvm.synth import (make_correlated_gaussian, make_imbalanced_gaussians,
                          make_twonorm)
 from mlsvm.ud import UdConfig, ud_search
-from oracles import qp_dual_oracle, rbf_matrix
+from oracles import dual_objective, kkt_violation, qp_dual_oracle, rbf_matrix
 
 
 def record(num: int, ok: bool, desc: str, extra: str = ""):
@@ -106,8 +105,8 @@ def test_criterion_04_default_search_budget_is_13():
     ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
     out = ud_search(binary_view(ds, 1), np.arange(150), False, UdConfig(), seed=0)
     ok = out.evaluations == 13 and len(out.trace) == 13
-    record(4, ok, "default nested design trains exactly 13 distinct candidates",
-           " [trained %d]" % out.evaluations)
+    record(4, ok, "default nested design scores exactly 13 distinct candidates",
+           " [scored %d]" % out.evaluations)
 
 
 def _dominating(graph, sel_mask):

@@ -180,10 +180,11 @@ class TestTrain:
                             UdConfig(internal_cv_folds=3), SolverConfig(), seed=4)
         lines = report.read_text().splitlines()
         assert len(lines) == len(outcome.trace) == 13
-        for ln, (c, gamma, score) in zip(lines, outcome.trace):
-            got_c, got_gamma, got_score = ln.split("\t")
+        for ln, (c, gamma, score, folds) in zip(lines, outcome.trace):
+            got_c, got_gamma, got_score, got_folds = ln.split("\t")
             assert (float(got_c), float(got_gamma)) == (c, gamma)
             assert abs(float(got_score) - score) <= 5e-7
+            assert int(got_folds) == folds
 
     def test_same_seed_byte_identical_models(self, clean_csv, tmp_path):
         m1 = str(tmp_path / "m1.model")
@@ -593,8 +594,8 @@ PREDICT = ["predict", "--model", "{out}/m.model", "--out", "{out}/p.txt", "--in"
 ROBUSTNESS = [   # id, commands in order, last command's exit code (None: 0 or 1)
     ("all-missing-column", [TRAIN + ["{all-missing-column}"],
                             PREDICT + ["{all-missing-column}"]], None),
-    ("single-class", [TRAIN + ["{single-class}"], PREDICT + ["{single-class}"]],
-     None),
+    ("single-class", [TRAIN + ["{single-class}"]], 1),
+    ("single-class-flat", [TRAIN + ["{single-class}", "--method", "wsvm"]], 1),
     ("constant-column", [TRAIN + ["{constant-column}", "--method", "mlwsvm"],
                          PREDICT + ["{constant-column}"]], None),
     ("duplicate-rows", [TRAIN + ["{duplicate-rows}", "--method", "mlwsvm",

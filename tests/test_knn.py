@@ -3,8 +3,8 @@ import pytest
 
 from mlsvm import knn
 from mlsvm.data import Dataset
-from mlsvm.knn import KnnConfig, _median, build_knn_graph, knn_recall
-from oracles import brute_knn
+from mlsvm.knn import KnnConfig, _median, build_knn_graph
+from oracles import brute_knn, knn_recall
 
 
 def set_forest(monkeypatch, n_trees, leaf_size, search_checks, refine_iters):

@@ -5,11 +5,11 @@ import mlsvm.svm as svm_module
 from mlsvm.data import Dataset, binary_view, inject_missing, take_rows
 from mlsvm.imputation import RemConfig
 from mlsvm.svm import (ClassWeights, KernelParams, SolverConfig, SvmModel,
-                       decision_values, dual_objective, fit_pipeline,
-                       kkt_violation, load_any_model, predict, save_any_model,
-                       train_svm)
+                       decision_values, fit_pipeline, load_any_model, predict,
+                       save_any_model, train_svm)
 from mlsvm.synth import make_separable_blobs
-from oracles import linear_matrix, qp_dual_oracle, rbf_matrix
+from oracles import (dual_objective, kkt_violation, linear_matrix,
+                     qp_dual_oracle, rbf_matrix)
 
 
 def dataset_from(x, y):
@@ -128,6 +128,33 @@ class TestModelInvariants:
                        SolverConfig(cache_bytes=1 << 20))
         assert np.array_equal(m1.sv_alphas, m2.sv_alphas)
         assert m1.bias == m2.bias
+
+    @pytest.mark.parametrize("cache_rows", [2, 3, 17])
+    def test_evicting_cache_changes_no_bit(self, cache_rows):
+        # fewer slots than rows: evicted slots are refilled with other rows
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(80, 4))
+        y = np.where(x[:, 0] > 0, 1.0, -1.0)
+        view = binary_view(dataset_from(x, y), 1)
+        m1 = train_svm(view, ClassWeights(5.0, 5.0), KernelParams(0.5),
+                       SolverConfig(cache_bytes=0))
+        m2 = train_svm(view, ClassWeights(5.0, 5.0), KernelParams(0.5),
+                       SolverConfig(cache_bytes=8 * 80 * cache_rows))
+        assert np.array_equal(m1.sv_alphas, m2.sv_alphas)
+        assert m1.bias == m2.bias
+
+    def test_cache_rows_equal_uncached_rows(self):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(30, 3))
+        cached = svm_module._RowCache(x, 0.4, 8 * 30 * 2)
+        uncached = svm_module._RowCache(x, 0.4, 0)
+        for i in rng.integers(0, 30, size=200).tolist():
+            ki = cached.row(i)
+            j = (i * 7 + 1) % 30
+            kj = cached.row(j)
+            # the row fetched before kj is still intact
+            assert ki.tobytes() == uncached.row(i).tobytes()
+            assert kj.tobytes() == uncached.row(j).tobytes()
 
     def test_iteration_cap_warns_and_keeps_feasibility(self, monkeypatch):
         monkeypatch.setattr(svm_module, "_MAX_ITERATIONS", 20)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from mlsvm.data import binary_view
+from mlsvm.evaluation import train_method
 from mlsvm.metrics import ConfusionMatrix, compute_metrics, stratified_folds
 from mlsvm.svm import ClassWeights, KernelParams, SolverConfig, predict, train_svm
 from mlsvm.synth import make_separable_blobs
 from mlsvm.ud import UdConfig, ud_search
 
 
-def overlapping_blobs(n=200, seed=0):
+def overlapping_blobs(n=200, seed=0, n_pos=None):
     rng = np.random.default_rng(seed)
-    half = n // 2
+    half = n // 2 if n_pos is None else n_pos
     x = np.vstack([rng.normal(size=(half, 3)) + 0.9,
                    rng.normal(size=(n - half, 3)) - 0.9])
     labels = np.concatenate([np.ones(half, dtype=int),
@@ -20,22 +21,40 @@ def overlapping_blobs(n=200, seed=0):
 
 
 def cv_gmean(view, rows, c, gamma, folds, seed, weights_mode=False):
-    """Same pooled-confusion CV scoring rule, applied exhaustively."""
+    """Same pooled-confusion CV scoring rule, applied to every fold.
+
+    Weighted caps follow the class sizes of all rows, as in the search.
+    """
     rows = np.asarray(rows)
     y = view.y()[rows]
     assign = stratified_folds(y, folds, seed)
+    n_pos = int((y > 0).sum())
+    w = ClassWeights.inverse_size(c, n_pos, y.size - n_pos) if weights_mode \
+        else ClassWeights.uniform(c)
     cm = ConfusionMatrix()
     for f in range(folds):
         tr = rows[assign != f]
         te = rows[assign == f]
-        n_pos = int((view.y()[tr] > 0).sum())
-        n_neg = tr.size - n_pos
-        w = ClassWeights.inverse_size(c, n_pos, n_neg) if weights_mode \
-            else ClassWeights.uniform(c)
         model = train_svm(view, w, KernelParams(gamma), SolverConfig(), tr)
         pred, _ = predict(model, view.base.features[te])
         cm = cm + ConfusionMatrix.from_predictions(view.y()[te], pred)
     return compute_metrics(cm).gmean
+
+
+def exhaustive(view, rows, out, folds, seed, weights_mode):
+    """Score every candidate of out.trace on all folds.
+
+    Returns (scores, stage-1 winner, winner) under the search's tie-break.
+    Stage 1 is fixed by the ranges and stage 2 by the stage-1 winner, so
+    once the two searches agree on that winner, out.trace holds every
+    candidate the exhaustive search scores.
+    """
+    scores = {(c, g): cv_gmean(view, rows, c, g, folds, seed, weights_mode)
+              for c, g, _, _ in out.trace}
+
+    def best(cands):
+        return min(cands, key=lambda cg: (-scores[cg], cg[0], cg[1]))
+    return scores, best([t[:2] for t in out.trace[:9]]), best(scores)
 
 
 class TestBudget:
@@ -51,7 +70,7 @@ class TestBudget:
         view = binary_view(ds, 1)
         cfg = UdConfig()
         out = ud_search(view, np.arange(80), False, cfg, seed=0)
-        for c, g, _ in out.trace:
+        for c, g, _, _ in out.trace:
             assert cfg.c_range[0] * (1 - 1e-12) <= c <= cfg.c_range[1] * (1 + 1e-12)
             assert cfg.gamma_range[0] * (1 - 1e-12) <= g <= cfg.gamma_range[1] * (1 + 1e-12)
 
@@ -61,7 +80,7 @@ class TestBudget:
         cfg = UdConfig()
         out = ud_search(view, np.arange(80), False, cfg, center=(1.0, 0.1), seed=0)
         assert out.evaluations <= 13
-        for c, g, _ in out.trace:
+        for c, g, _, _ in out.trace:
             assert cfg.c_range[0] * (1 - 1e-12) <= c <= cfg.c_range[1] * (1 + 1e-12)
             assert cfg.gamma_range[0] * (1 - 1e-12) <= g <= cfg.gamma_range[1] * (1 + 1e-12)
 
@@ -82,7 +101,7 @@ class TestWinner:
         ds = make_separable_blobs(n=80, d=3, separation=10.0, seed=5)
         view = binary_view(ds, 1)
         out = ud_search(view, np.arange(80), False, UdConfig(), seed=0)
-        best = min(((c, g) for c, g, s in out.trace
+        best = min(((c, g) for c, g, s, _ in out.trace
                     if s == max(t[2] for t in out.trace)))
         assert (out.c, out.gamma) == best
 
@@ -161,6 +180,68 @@ class TestStageGeometry:
         win = max(stage1, key=lambda t: (t[2], -t[0], -t[1]))
         step_c = (np.log10(cfg.c_range[1]) - np.log10(cfg.c_range[0])) / 8
         step_g = (np.log10(cfg.gamma_range[1]) - np.log10(cfg.gamma_range[0])) / 8
-        for c, g, _ in stage2:
+        for c, g, _, _ in stage2:
             assert abs(np.log10(c) - np.log10(win[0])) <= step_c + 1e-9
             assert abs(np.log10(g) - np.log10(win[1])) <= step_g + 1e-9
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("seed, n, n_pos, weighted, center, folds", [
+        (0, 70, None, False, None, 2),
+        (1, 70, None, True, None, 3),
+        (2, 80, 20, False, (1.0, 0.1), 4),
+        (3, 80, 20, True, (1.0, 0.1), 5),
+        (4, 90, 15, True, None, 5),
+        (5, 60, 3, False, None, 5),
+        (6, 60, 3, True, (3.0, 0.5), 4),
+        (7, 60, None, False, (0.1, 1.0), 3),
+    ])
+    def test_same_winner_as_exhaustive_search(self, seed, n, n_pos, weighted,
+                                              center, folds):
+        view = binary_view(overlapping_blobs(n, seed, n_pos), 1)
+        rows = np.arange(n)
+        out = ud_search(view, rows, weighted, UdConfig(internal_cv_folds=folds),
+                        center=center, seed=seed)
+        k = min(folds, view.rows_positive.size, view.rows_negative.size)
+        full, win1, win = exhaustive(view, rows, out, k, seed, weighted)
+        recorded = {t[:2]: t[2] for t in out.trace}
+        assert min(list(recorded)[:9],     # the stage-2 centre
+                   key=lambda cg: (-recorded[cg], cg[0], cg[1])) == win1
+        n_pos_all = view.rows_positive.size
+        weights = ClassWeights.inverse_size(win[0], n_pos_all, n - n_pos_all) \
+            if weighted else ClassWeights.uniform(win[0])
+        assert (out.c, out.gamma, out.score, out.weights) == \
+            (win[0], win[1], full[win], weights)
+        assert out.evaluations == len(out.trace)
+        for c, g, score, trained in out.trace:
+            assert 1 <= trained <= k
+            if trained == k:
+                assert score == full[(c, g)]
+            else:
+                assert full[(c, g)] <= score < out.score
+
+    def test_losing_candidates_stop_early(self):
+        view = binary_view(overlapping_blobs(120, seed=1), 1)
+        out = ud_search(view, np.arange(120), False, UdConfig(), seed=0)
+        trained = [t[3] for t in out.trace]
+        assert min(trained) < 5 and max(trained) == 5
+        assert out.format_table().splitlines()[0].split("\t")[3] == str(trained[0])
+
+    def test_folds_trained_count_every_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train_svm(*args, **kwargs)
+        monkeypatch.setattr("mlsvm.ud.train_svm", counted)
+        monkeypatch.setattr("mlsvm.evaluation.train_svm", counted)
+        view = binary_view(overlapping_blobs(80, seed=2, n_pos=25), 1)
+        _, out = train_method(view, "wsvm", 0, ud_config=UdConfig(internal_cv_folds=4))
+        assert len(calls) == sum(t[3] for t in out.trace) + 1
+        assert len(calls) < 13 * 4 + 1
+
+    def test_training_fit_path_trains_once_per_candidate(self):
+        # a one-row minority leaves no room for two folds
+        view = binary_view(overlapping_blobs(30, seed=3, n_pos=1), 1)
+        out = ud_search(view, np.arange(30), True, UdConfig(), seed=0)
+        assert [t[3] for t in out.trace] == [1] * out.evaluations

@@ -10,9 +10,10 @@ parent commit's ``src`` and on the change's.
 
 The inputs are seeded synthetic data drawn here with numpy, so they do not
 depend on the code under test. Covered: the EM and mean imputers (fit and
-transform), ud_search outcomes with their traces (weighted and unweighted,
-balanced down to a one-row minority), multilevel model files with their
-level tables (direct and cluster-mode refinement), an approximate k-NN graph
+transform), ud_search outcomes with their traces, each candidate's entry
+holding its score and the number of folds trained for it (all of them, or
+fewer once it could no longer win; weighted and unweighted, balanced down
+to a one-row minority), multilevel model files with their level tables (direct and cluster-mode refinement), an approximate k-NN graph
 over 21,000 points, the CLI (``train`` for every method, ``predict`` on
 imputed rows and, digesting the exit code with the output, on the raw
 ``?``-celled rows, ``impute``, ``evaluate`` and ``benchmark``), and each
