@@ -1,9 +1,12 @@
-"""Per-class k-nearest-neighbor graphs, exact or approximate.
+"""Per-class k-nearest-neighbor graphs: searched at level 0, restricted above.
 
 Exact search is blocked brute force under Euclidean distance with a
 deterministic tie-break (lower row index wins). The approximate index is a
 forest of randomized projection trees; its contract is measured recall
-against the exact graph, not any particular index structure.
+against the exact graph, not any particular index structure. Only the
+level-0 graphs of the multilevel hierarchy are searched: a coarse graph is
+the restriction of the graph below it to the coarse node subset, its lists
+drawn from the fine lists and their neighbors' lists (``restrict_graph``).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from mlsvm.data import Dataset
 EXACT_DEFAULT_LIMIT = 20_000
 _PAIR_CHUNK = 1 << 16          # co-leaf pairs gathered at once by the approximate search
 _EXACT_BLOCK = 512             # query rows per distance block in the exact search
+_RESTRICT_BLOCK = 512          # coarse nodes whose candidates are gathered at once
 _N_TREES = 12                  # random projection trees in the approximate index
 _LEAF_SIZE = 48                # most points per leaf
 _SEARCH_CHECKS = 1024          # most candidates searched per point
@@ -90,46 +94,112 @@ def build_knn_graph(data: Dataset, rows, config: KnnConfig | None = None,
         warnings.warn("k=%d >= %d points; clamping to %d" % (k, n, n - 1))
         k = n - 1
     if k == 0:
-        empty = np.zeros((n, 0), dtype=np.int64)
-        return KnnGraph(rows, empty, empty.astype(float), 0,
-                        np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    mode = config.mode
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_DEFAULT_LIMIT else "approximate"
-    if mode == "exact":
-        nbr_ids, nbr_d2 = _exact_knn(x, k)
+        nbr_ids, nbr_d2 = np.zeros((n, 0), dtype=np.int64), np.zeros((n, 0))
     else:
-        nbr_ids, nbr_d2 = _approx_knn(x, k, seed)
-    dists = np.sqrt(np.maximum(nbr_d2, 0.0))
-    indptr, indices = _symmetric_closure(nbr_ids, n)
-    return KnnGraph(rows, nbr_ids, dists, k, indptr, indices)
-
-
-def _exact_knn(x: np.ndarray, k: int):
-    n = x.shape[0]
-    sq = np.einsum("ij,ij->i", x, x)
-    nbr_ids = np.empty((n, k), dtype=np.int64)
-    nbr_d2 = np.empty((n, k))
-    for start in range(0, n, _EXACT_BLOCK):
-        stop = min(start + _EXACT_BLOCK, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (x[start:stop] @ x.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        if k < n - 1:
-            part = np.argpartition(d2, k, axis=1)[:, :k]
+        mode = config.mode
+        if mode == "auto":
+            mode = "exact" if n <= EXACT_DEFAULT_LIMIT else "approximate"
+        if mode == "exact":
+            nbr_ids, nbr_d2 = _exact_knn(x, k)
         else:
-            part = np.tile(np.arange(n), (stop - start, 1))
-        for r in range(stop - start):
-            cand = part[r]
+            nbr_ids, nbr_d2 = _approx_knn(x, k, seed)
+    return _graph(rows, nbr_ids, nbr_d2)
+
+
+def restrict_graph(data: Dataset, graph: KnnGraph, picked) -> KnnGraph:
+    """The k-NN graph of a node subset, drawn from the graph's own lists.
+
+    picked holds m sorted local positions of graph; node i of the result is
+    picked[i]. Each picked node's candidates are its directed neighbors and
+    theirs (k + k^2 nodes), of which it keeps the picked ones other than
+    itself, each once, and of those its min(k, m-1) nearest by recomputed
+    squared distance, ties to the lower position. A node left with fewer
+    candidates than that is searched exactly over the picked rows.
+    """
+    picked = np.asarray(picked, dtype=np.int64)
+    m = picked.size
+    k = min(graph.k, m - 1)
+    rows = graph.node_ids[picked]
+    x = np.ascontiguousarray(data.features[rows])
+    sq = np.einsum("ij,ij->i", x, x)
+    # coarse position of each fine node; m marks one not picked and, as it
+    # sorts after every real position, each dropped candidate below
+    coarse = np.full(graph.n_nodes, m, dtype=np.int64)
+    coarse[picked] = np.arange(m)
+    nbr_ids = np.empty((m, k), dtype=np.int64)
+    nbr_d2 = np.empty((m, k))
+    short = []
+    for start in range(0, m, _RESTRICT_BLOCK):
+        me = np.arange(start, min(start + _RESTRICT_BLOCK, m))
+        one = graph.neighbor_ids[picked[me]]
+        two = graph.neighbor_ids[one].reshape(me.size, -1)
+        cand = coarse[np.concatenate((one, two), axis=1)]
+        cand[cand == me[:, None]] = m
+        cand.sort(axis=1)
+        cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = m
+        valid = cand < m
+        at = np.where(valid, cand, 0)
+        ab = np.matmul(x[at], x[me, :, None])[:, :, 0]   # node . candidate
+        ab *= 2.0
+        d2 = sq[me, None] + sq[at]
+        d2 -= ab
+        np.maximum(d2, 0.0, out=d2)
+        d2[~valid] = np.inf
+        pick = np.lexsort((cand, d2), axis=1)[:, :k]
+        nbr_ids[me] = np.take_along_axis(cand, pick, 1)
+        nbr_d2[me] = np.take_along_axis(d2, pick, 1)
+        short.append(me[valid.sum(axis=1) < k])
+    short = np.concatenate(short)
+    if short.size:
+        nbr_ids[short], nbr_d2[short] = _exact_knn(x, k, short)
+    return _graph(rows, nbr_ids, nbr_d2)
+
+
+def _graph(rows, nbr_ids, nbr_d2) -> KnnGraph:
+    indptr, indices = _symmetric_closure(nbr_ids, rows.size)
+    return KnnGraph(rows, nbr_ids, np.sqrt(np.maximum(nbr_d2, 0.0)),
+                    nbr_ids.shape[1], indptr, indices)
+
+
+def _exact_knn(x: np.ndarray, k: int, queries=None):
+    """The k nearest other rows of x to each query row, in (d2, id) order.
+
+    Queries default to every row, taken _EXACT_BLOCK at a time.
+    """
+    n = x.shape[0]
+    every = queries is None
+    queries = np.arange(n) if every else np.asarray(queries, dtype=np.int64)
+    sq = np.einsum("ij,ij->i", x, x)
+    nbr_ids = np.empty((queries.size, k), dtype=np.int64)
+    nbr_d2 = np.empty((queries.size, k))
+    for start in range(0, queries.size, _EXACT_BLOCK):
+        q = queries[start:start + _EXACT_BLOCK]
+        at = np.arange(q.size)
+        # a block of every row stays a view: numpy then takes x @ x.T by
+        # syrk, whose sums differ in the last bits from gemm's
+        ab = (x[start:start + q.size] if every else x[q]) @ x.T
+        ab *= 2.0
+        d2 = np.add.outer(sq[q], sq)
+        d2 -= ab
+        np.maximum(d2, 0.0, out=d2)
+        d2[at, q] = np.inf
+        if k < n - 1:
+            part = np.argpartition(d2, k, axis=1)
+            cand = part[:, :k]
+            # the nearest point left out ties the farthest kept one
+            tied = d2[at, part[:, k]] <= np.take_along_axis(d2, cand, 1).max(axis=1)
+        else:
+            cand = np.broadcast_to(np.arange(n), d2.shape)
+            tied = np.zeros(q.size, dtype=bool)
+        order = np.lexsort((cand, np.take_along_axis(d2, cand, 1)), axis=1)[:, :k]
+        ids = np.take_along_axis(cand, order, 1)
+        for r in np.flatnonzero(tied):
+            # widen to every tied point so that the lower index can win
             row = d2[r]
-            dmax = row[cand].max()
-            # ties at the selection boundary: widen so lower index can win
-            tied = np.flatnonzero(row <= dmax)
-            if tied.size > cand.size:
-                cand = tied
-            order = cand[np.lexsort((cand, row[cand]))][:k]
-            nbr_ids[start + r] = order
-            nbr_d2[start + r] = row[order]
+            wide = np.flatnonzero(row <= row[ids[r]].max())
+            ids[r] = wide[np.lexsort((wide, row[wide]))][:k]
+        nbr_ids[start:start + q.size] = ids
+        nbr_d2[start:start + q.size] = np.take_along_axis(d2, ids, 1)
     return nbr_ids, nbr_d2
 
 

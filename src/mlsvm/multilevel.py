@@ -3,13 +3,15 @@
 Each class's k-NN graph is coarsened by iterated greedy independent-set
 rounds until the selection covers the required fraction of vertices; the
 first round is a maximal independent set, which makes every selection a
-dominating set of its level. A class that is already small is replicated
-unchanged across coarser levels, which evens out the class balance at the
-coarsest level. Training happens once at the coarsest level (with full model
-selection) and is then refined level by level: the coarse support vectors
-plus a few of their fine-level neighbors form the next training set, either
-retrained directly (small enough) or split into paired opposite-class
-clusters trained independently.
+dominating set of its level. Only level 0 is searched: each coarser graph
+is the restriction of the graph below it to the selection. A class that is
+already small is replicated unchanged, with its graph, across coarser
+levels, which evens out the class balance at the coarsest level. Training
+happens once at the coarsest level (with full model selection) and is then
+refined level by level: the coarse support vectors plus a few of their
+fine-level neighbors form the next training set, either retrained directly
+(small enough) or split into paired opposite-class clusters trained
+independently.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from mlsvm.clustering import kmeans
 from mlsvm.data import BinaryView, Dataset
-from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
+from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph, restrict_graph
 from mlsvm.rng import child_rng, child_seed
 from mlsvm.svm import KernelParams, SolverConfig, SvmModel, class_weights, train_svm
 from mlsvm.ud import UdConfig, ud_search
@@ -59,10 +61,16 @@ class CoarsenResult:
 
 @dataclass
 class HierarchyLevel:
-    pos_rows: np.ndarray
-    neg_rows: np.ndarray
     pos_graph: KnnGraph
     neg_graph: KnnGraph
+
+    @property
+    def pos_rows(self) -> np.ndarray:
+        return self.pos_graph.node_ids
+
+    @property
+    def neg_rows(self) -> np.ndarray:
+        return self.neg_graph.node_ids
 
     @property
     def size(self) -> int:
@@ -87,6 +95,7 @@ class LevelSolution:
     support_rows: np.ndarray
     c: float
     gamma: float
+    train_rows: int                 # size of the set trained at this level
     model: SvmModel | None = None   # None at cluster-mode levels above 0
     n_clusters: tuple | None = None      # (positive, negative) in cluster mode
     n_pairs: int | None = None
@@ -97,7 +106,11 @@ class LevelStats:
     level: int
     n_pos: int
     n_neg: int
+    mode: str                       # coarsest | direct | cluster
+    train_rows: int
     n_sv: int
+    n_clusters: tuple | None        # (positive, negative) in cluster mode
+    n_pairs: int | None
     c: float
     gamma: float
     seconds: float
@@ -109,11 +122,14 @@ class MultilevelReport:
     stalled: bool = False
 
     def format_table(self) -> str:
-        lines = ["level\tn_pos\tn_neg\tn_sv\tC\tgamma\tseconds"]
+        lines = ["level\tn_pos\tn_neg\tmode\ttrain_rows\tn_sv\tn_clusters\tn_pairs"
+                 "\tC\tgamma\tseconds"]
         for row in self.levels:
-            lines.append("%d\t%d\t%d\t%d\t%.6g\t%.6g\t%.3f"
-                         % (row.level, row.n_pos, row.n_neg, row.n_sv,
-                            row.c, row.gamma, row.seconds))
+            clusters = "-" if row.n_clusters is None else "%d/%d" % row.n_clusters
+            pairs = "-" if row.n_pairs is None else "%d" % row.n_pairs
+            lines.append("%d\t%d\t%d\t%s\t%d\t%d\t%s\t%s\t%.6g\t%.6g\t%.3f"
+                         % (row.level, row.n_pos, row.n_neg, row.mode, row.train_rows,
+                            row.n_sv, clusters, pairs, row.c, row.gamma, row.seconds))
         if self.stalled:
             lines.append("# coarsening stalled before reaching the size bound")
         return "\n".join(lines) + "\n"
@@ -174,9 +190,10 @@ def build_hierarchy(view: BinaryView, knn_config: KnnConfig | None = None,
                     config: FrameworkConfig | None = None) -> Hierarchy:
     """Coarsen both classes level by level until the combined size fits.
 
-    A class at or below half the coarsest bound is replicated unchanged while
-    the other still shrinks; recursion also stops if a level shrinks by less
-    than the stall threshold.
+    Each class is searched once, at level 0; a coarsened class's graph is the
+    restriction of its graph one level below. A class at or below half the
+    coarsest bound is replicated unchanged while the other still shrinks;
+    recursion also stops if a level shrinks by less than the stall threshold.
     """
     knn_config = knn_config or KnnConfig()
     config = config or FrameworkConfig()
@@ -187,37 +204,30 @@ def build_hierarchy(view: BinaryView, knn_config: KnnConfig | None = None,
     if pos.size < 2 or neg.size < 2:
         raise ValueError("each class needs at least 2 points")
 
-    def graph_for(rows, level, cls):
-        return build_knn_graph(view.base, rows, knn_config,
-                               seed=child_seed(config.seed, "aknn", level, cls))
-
-    levels = [HierarchyLevel(pos, neg, graph_for(pos, 0, 0), graph_for(neg, 0, 1))]
+    levels = [HierarchyLevel(*(build_knn_graph(view.base, rows, knn_config,
+                                               seed=child_seed(config.seed, "aknn", 0, cls))
+                               for cls, rows in enumerate((pos, neg))))]
     floor = max(1, config.coarsest_max // 2)
     stalled = False
     while levels[-1].size > config.coarsest_max:
         cur = levels[-1]
         level_no = len(levels)
-        new_sets = []
-        new_graphs = []
-        for cls, (rows, graph) in enumerate(((cur.pos_rows, cur.pos_graph),
-                                             (cur.neg_rows, cur.neg_graph))):
-            if rows.size <= floor:
-                new_sets.append(rows)          # replicate the small class
-                new_graphs.append(graph)
-                continue
-            rng = child_rng(config.seed, "coarsen", level_no, cls)
-            picked = coarsen_class(graph, config.q, rng)
-            new_sets.append(rows[picked.selected])
-            new_graphs.append(None)
-        new_total = new_sets[0].size + new_sets[1].size
+        graphs = (cur.pos_graph, cur.neg_graph)
+        picked = []
+        for cls, graph in enumerate(graphs):
+            if graph.n_nodes <= floor:
+                picked.append(None)            # replicate the small class
+            else:
+                rng = child_rng(config.seed, "coarsen", level_no, cls)
+                picked.append(coarsen_class(graph, config.q, rng).selected)
+        new_total = sum(g.n_nodes if p is None else p.size
+                        for g, p in zip(graphs, picked))
         if new_total > cur.size * (1.0 - _STALL_SHRINK):
             stalled = True
             break
-        for cls in (0, 1):
-            if new_graphs[cls] is None:
-                new_graphs[cls] = graph_for(new_sets[cls], level_no, cls)
-        levels.append(HierarchyLevel(new_sets[0], new_sets[1],
-                                     new_graphs[0], new_graphs[1]))
+        new_graphs = [g if p is None else restrict_graph(view.base, g, p)
+                      for g, p in zip(graphs, picked)]
+        levels.append(HierarchyLevel(*new_graphs))
     return Hierarchy(levels=levels, stalled=stalled)
 
 
@@ -229,8 +239,8 @@ def _search_and_train(view: BinaryView, rows: np.ndarray, weighted: bool,
                         center=center, seed=seed)
     model = train_svm(view, outcome.weights, KernelParams(outcome.gamma),
                       solver_config, rows)
-    return LevelSolution(support_rows=np.sort(model.sv_rows),
-                         c=outcome.c, gamma=outcome.gamma, model=model)
+    return LevelSolution(support_rows=np.sort(model.sv_rows), c=outcome.c,
+                         gamma=outcome.gamma, train_rows=rows.size, model=model)
 
 
 def train_coarsest(view: BinaryView, hierarchy: Hierarchy, weighted: bool,
@@ -313,8 +323,8 @@ def refine_level(view: BinaryView, hierarchy: Hierarchy, level: int,
                                 KernelParams(gamma), solver_config, support)
         support = np.sort(final_model.sv_rows)
     return LevelSolution(support_rows=support, c=c, gamma=gamma,
-                         model=final_model, n_clusters=(k_pos, k_neg),
-                         n_pairs=len(pairs))
+                         train_rows=data_train.size, model=final_model,
+                         n_clusters=(k_pos, k_neg), n_pairs=len(pairs))
 
 
 def train_multilevel(data: Dataset, view: BinaryView, weighted: bool = False,
@@ -325,7 +335,8 @@ def train_multilevel(data: Dataset, view: BinaryView, weighted: bool = False,
     """Full V-cycle: hierarchy, coarsest solve, refinement back to level 0.
 
     view must be a view of data. Returns the level-0 SVM model and a report
-    of per-level sizes, hyperparameters, and times.
+    of per-level sizes, refinement mode, training-set rows, clusters and
+    pairs, hyperparameters, and times.
     """
     if view.base is not data:
         raise ValueError("view is not a view of data")
@@ -342,8 +353,14 @@ def train_multilevel(data: Dataset, view: BinaryView, weighted: bool = False,
             solution = refine_level(view, hierarchy, level, solution, weighted,
                                     ud_config, solver_config, config)
         lvl = hierarchy.levels[level]
+        if level == hierarchy.n_levels - 1:
+            mode = "coarsest"
+        else:
+            mode = "direct" if solution.n_pairs is None else "cluster"
         report.levels.append(LevelStats(
             level=level, n_pos=lvl.pos_rows.size, n_neg=lvl.neg_rows.size,
-            n_sv=solution.support_rows.size, c=solution.c, gamma=solution.gamma,
+            mode=mode, train_rows=solution.train_rows,
+            n_sv=solution.support_rows.size, n_clusters=solution.n_clusters,
+            n_pairs=solution.n_pairs, c=solution.c, gamma=solution.gamma,
             seconds=time.perf_counter() - t0))
     return solution.model, report

@@ -3,7 +3,8 @@
 Everything here is deliberately written against the math, not against the
 library's internals: dense projected-gradient ascent for the dual QP, the
 dual objective and KKT conditions of a trained model, naive nearest-neighbor
-search and neighbor recall, and the covariance behind an imputer's scatter.
+search (also restricted to a subset through a fine graph's lists) and
+neighbor recall, and the covariance behind an imputer's scatter.
 """
 
 from __future__ import annotations
@@ -65,14 +66,37 @@ def qp_dual_oracle(K: np.ndarray, y: np.ndarray, caps: np.ndarray,
 
 def brute_knn(x: np.ndarray, k: int):
     """Naive exact k-NN with explicit (distance, index) ordering."""
-    n = x.shape[0]
-    ids = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        d2 = ((x - x[i]) ** 2).sum(axis=1)
-        d2[i] = np.inf
-        order = sorted(range(n), key=lambda j: (d2[j], j))
-        ids[i] = order[:k]
-    return ids
+    return np.array([_nearest(x, i, range(x.shape[0]), k)
+                     for i in range(x.shape[0])], dtype=np.int64).reshape(x.shape[0], k)
+
+
+def _nearest(x, i, candidates, k):
+    """The k candidates other than i nearest to x[i], ties to the lower index."""
+    d2 = {j: float(((x[j] - x[i]) ** 2).sum()) for j in candidates if j != i}
+    return sorted(d2, key=lambda j: (d2[j], j))[:k]
+
+
+def restricted_knn(x: np.ndarray, fine_ids: np.ndarray, picked: np.ndarray):
+    """Neighbor lists of the picked points drawn from a fine graph's lists.
+
+    x holds the fine points and fine_ids their directed k-NN lists. Point i
+    of the result is picked[i]; its candidates are the picked points among
+    its fine neighbors and theirs, other than itself. It keeps its min(k,
+    m-1) nearest of them, or of every picked point when it has fewer
+    candidates than that.
+    """
+    m = picked.size
+    k = min(fine_ids.shape[1], m - 1)
+    local = {int(p): i for i, p in enumerate(picked)}
+    xc = x[picked]
+    out = []
+    for i, p in enumerate(picked):
+        hops = set(fine_ids[p].tolist())
+        for j in fine_ids[p]:
+            hops.update(fine_ids[j].tolist())
+        cand = {local[j] for j in hops if j in local} - {i}
+        out.append(_nearest(xc, i, cand if len(cand) >= k else range(m), k))
+    return np.array(out, dtype=np.int64).reshape(m, k)
 
 
 def dual_objective(model) -> float:

@@ -164,9 +164,14 @@ class TestTrain:
         assert rc == 0
         lines = report.read_text().splitlines()
         assert len(lines) >= 3    # header plus at least two levels
-        levels = [int(ln.split("\t")[0]) for ln in lines[1:]
-                  if not ln.startswith("#")]
+        assert lines[0].split("\t")[3:8] == ["mode", "train_rows", "n_sv",
+                                             "n_clusters", "n_pairs"]
+        rows = [ln.split("\t") for ln in lines[1:] if not ln.startswith("#")]
+        levels = [int(cells[0]) for cells in rows]
         assert levels == list(range(len(levels) - 1, -1, -1))
+        assert [cells[3] for cells in rows][0] == "coarsest"
+        assert {cells[3] for cells in rows[1:]} <= {"direct", "cluster"}
+        assert all(int(cells[4]) >= int(cells[5]) for cells in rows)
 
     def test_flat_report_lists_search_trace(self, clean_csv, tmp_path):
         report = tmp_path / "report.txt"

@@ -3,8 +3,8 @@ import pytest
 
 from mlsvm import knn
 from mlsvm.data import Dataset
-from mlsvm.knn import KnnConfig, _median, build_knn_graph
-from oracles import brute_knn, knn_recall
+from mlsvm.knn import KnnConfig, _exact_knn, _median, build_knn_graph, restrict_graph
+from oracles import brute_knn, knn_recall, restricted_knn
 
 
 def set_forest(monkeypatch, n_trees, leaf_size, search_checks, refine_iters):
@@ -19,6 +19,22 @@ def points_dataset(x):
     x = np.asarray(x, dtype=float)
     return Dataset(x, np.zeros_like(x, dtype=bool),
                    np.ones(x.shape[0], dtype=int), (1,))
+
+
+def integer_points(name):
+    """Points whose squared distances every summation order gets exactly.
+
+    Small integer coordinates make ties at every distance, so these inputs
+    exercise the (distance, index) tie-break.
+    """
+    rng = np.random.default_rng(17)
+    if name == "random":
+        return rng.integers(-6, 7, size=(45, 3)).astype(float)
+    if name == "duplicated":
+        return np.repeat(rng.integers(-3, 4, size=(12, 2)), 4, axis=0).astype(float)
+    if name == "grid":
+        return np.array([[i, j] for i in range(7) for j in range(6)], dtype=float)
+    return np.full((20, 4), 3.0)        # every point equal
 
 
 class TestExact:
@@ -81,11 +97,102 @@ class TestExact:
         g = build_knn_graph(ds, np.arange(30), KnnConfig(k=6, mode="exact"))
         assert (np.diff(g.neighbor_dists, axis=1) >= 0).all()
 
+    @pytest.mark.parametrize("name", ["random", "duplicated", "grid", "equal"])
+    def test_every_k_matches_brute_force_ids_and_distances(self, name):
+        x = integer_points(name)
+        n = x.shape[0]
+        full = brute_knn(x, n - 1)      # each k's lists are prefixes of these
+        for k in range(1, n):
+            ids, d2 = _exact_knn(x, k)
+            assert np.array_equal(ids, full[:, :k]), k
+            assert np.array_equal(d2, ((x[ids] - x[:, None, :]) ** 2).sum(axis=2)), k
+
+    def test_query_subset_matches_full_search(self):
+        x = integer_points("duplicated")
+        queries = np.array([40, 3, 17, 0])
+        for k in (1, 4, x.shape[0] - 1):
+            sub_ids, sub_d2 = _exact_knn(x, k, queries)
+            ids, d2 = _exact_knn(x, k)
+            assert np.array_equal(sub_ids, ids[queries])
+            assert np.array_equal(sub_d2, d2[queries])
+
     def test_degree_at_least_one(self):
         x = np.random.default_rng(10).normal(size=(15, 2))
         ds = points_dataset(x)
         g = build_knn_graph(ds, np.arange(15), KnnConfig(k=3, mode="exact"))
         assert (np.diff(g.und_indptr) >= 1).all()
+
+
+def restrict(x, k, picked, mode="exact"):
+    ds = points_dataset(x)
+    fine = build_knn_graph(ds, np.arange(x.shape[0]), KnnConfig(k=k, mode=mode), seed=4)
+    return fine, restrict_graph(ds, fine, picked)
+
+
+class TestRestrict:
+    def test_lists_sorted_distinct_recomputed_and_sized(self):
+        x = np.random.default_rng(20).normal(size=(300, 4))
+        picked = np.sort(np.random.default_rng(21).choice(300, 140, replace=False))
+        fine, g = restrict(x, 6, picked)
+        assert np.array_equal(g.node_ids, picked)
+        assert g.k == 6 and g.neighbor_ids.shape == (140, 6)
+        xc = x[picked]
+        for i in range(140):
+            ids, d = g.neighbor_ids[i], g.neighbor_dists[i]
+            assert i not in ids and len(set(ids.tolist())) == 6
+            assert ((ids >= 0) & (ids < 140)).all()
+            assert (np.lexsort((ids, d)) == np.arange(6)).all()
+            true = np.sqrt(((xc[ids] - xc[i]) ** 2).sum(axis=1))
+            assert np.allclose(d, true, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(g.neighbor_ids, restricted_knn(x, fine.neighbor_ids, picked))
+
+    @pytest.mark.parametrize("name", ["random", "duplicated", "grid", "equal"])
+    def test_matches_oracle_with_ties(self, name):
+        x = integer_points(name)
+        picked = np.arange(0, x.shape[0], 2)
+        fine, g = restrict(x, 3, picked)
+        assert np.array_equal(g.neighbor_ids, restricted_knn(x, fine.neighbor_ids, picked))
+        d2 = ((x[picked][g.neighbor_ids] - x[picked][:, None, :]) ** 2).sum(axis=2)
+        assert np.array_equal(g.neighbor_dists, np.sqrt(d2))
+
+    def test_short_rows_equal_exact_search_of_picked_set(self):
+        # on a line with k=1 each point's neighbor is the one below it, so
+        # point 0 reaches no other even point and must be searched
+        x = np.arange(30.0)[:, None]
+        picked = np.arange(0, 30, 2)
+        fine, g = restrict(x, 1, picked)
+        exact = build_knn_graph(points_dataset(x), picked, KnnConfig(k=1, mode="exact"))
+        assert g.neighbor_ids[0, 0] == 1 == exact.neighbor_ids[0, 0]
+        assert np.array_equal(g.neighbor_ids, exact.neighbor_ids)
+
+    def test_few_picked_keep_all_others(self):
+        x = np.random.default_rng(22).normal(size=(40, 2))
+        picked = np.array([3, 17, 31])
+        fine, g = restrict(x, 5, picked)
+        assert g.k == 2
+        assert [sorted(r) for r in g.neighbor_ids.tolist()] == [[1, 2], [0, 2], [0, 1]]
+        one = restrict_graph(points_dataset(x), fine, picked[:1])
+        assert one.k == 0 and one.neighbor_ids.shape == (1, 0)
+        assert one.und_indptr.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("n_picked", [3, 7, 60])
+    def test_deterministic_with_duplicates(self, n_picked):
+        x = np.repeat(np.random.default_rng(23).normal(size=(25, 3)), 3, axis=0)
+        picked = np.sort(np.random.default_rng(24).choice(75, n_picked, replace=False))
+        fine, g1 = restrict(x, 6, picked, mode="approximate")
+        _, g2 = restrict(x, 6, picked, mode="approximate")
+        for a in ("node_ids", "neighbor_ids", "neighbor_dists", "und_indptr", "und_indices"):
+            assert getattr(g1, a).tobytes() == getattr(g2, a).tobytes()
+        assert g1.k == min(6, n_picked - 1)
+
+    def test_undirected_edges_are_the_symmetric_closure(self):
+        x = np.random.default_rng(25).normal(size=(120, 3))
+        picked = np.arange(1, 120, 3)
+        _, g = restrict(x, 4, picked)
+        edges = {(i, int(j)) for i in range(g.n_nodes) for j in g.neighbor_ids[i]}
+        closure = edges | {(j, i) for i, j in edges}
+        got = {(i, int(j)) for i in range(g.n_nodes) for j in g.undirected_neighbors(i)}
+        assert got == closure
 
 
 class TestClampAndErrors:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from mlsvm import multilevel
 from mlsvm.clustering import kmeans
 from mlsvm.data import Dataset, binary_view
-from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph
-from mlsvm.multilevel import (FrameworkConfig, build_hierarchy, coarsen_class,
-                              pair_clusters, refine_level, train_coarsest,
-                              train_multilevel)
+from mlsvm.knn import KnnConfig, KnnGraph, build_knn_graph, restrict_graph
+from mlsvm.multilevel import (FrameworkConfig, LevelSolution, build_hierarchy,
+                              coarsen_class, pair_clusters, refine_level,
+                              train_coarsest, train_multilevel)
 from mlsvm.rng import child_rng
 from mlsvm.svm import predict
 from mlsvm.synth import make_imbalanced_gaussians, make_separable_blobs
@@ -136,6 +137,39 @@ class TestHierarchy:
         assert h.stalled
         assert h.n_levels == 1
 
+    def test_only_level_zero_is_searched(self, monkeypatch):
+        calls = []
+
+        def counting(data, rows, *args, **kwargs):
+            calls.append(len(rows))
+            return build_knn_graph(data, rows, *args, **kwargs)
+
+        monkeypatch.setattr(multilevel, "build_knn_graph", counting)
+        ds = make_separable_blobs(n=3000, d=4, seed=1)
+        view = binary_view(ds, 1)
+        h = build_hierarchy(view, KnnConfig(k=5),
+                            FrameworkConfig(coarsest_max=200, q_dt=5000))
+        assert h.n_levels >= 3
+        assert sorted(calls) == sorted([h.levels[0].pos_rows.size,
+                                        h.levels[0].neg_rows.size])
+
+    def test_coarse_graphs_restrict_the_level_below(self):
+        ds = make_imbalanced_gaussians(n=2080, d=4, minority_frac=80 / 2080.0,
+                                       separation=3.0, seed=2)
+        h = build_hierarchy(binary_view(ds, 1), KnnConfig(k=5),
+                            FrameworkConfig(coarsest_max=160, q_dt=5000))
+        assert h.n_levels >= 3
+        for fine, coarse in zip(h.levels, h.levels[1:]):
+            for fg, cg in ((fine.pos_graph, coarse.pos_graph),
+                           (fine.neg_graph, coarse.neg_graph)):
+                if cg is fg:                    # a replicated class
+                    continue
+                want = restrict_graph(ds, fg, fg.positions_of(cg.node_ids))
+                assert np.array_equal(cg.node_ids, want.node_ids)
+                assert np.array_equal(cg.neighbor_ids, want.neighbor_ids)
+                assert np.array_equal(cg.und_indices, want.und_indices)
+        assert h.levels[-1].pos_graph is h.levels[0].pos_graph
+
     def test_missing_data_rejected(self):
         ds = make_separable_blobs(n=100, d=3, seed=4)
         from mlsvm.data import inject_missing
@@ -197,32 +231,47 @@ class TestRefinement:
                                      h.levels[h.n_levels - 2].neg_rows])
         assert np.isin(refined.support_rows, level_rows).all()
 
+    def cluster_case(self):
+        """A refinement that enters cluster mode by construction.
+
+        The coarse solution's support rows are all of level 1, more than
+        q_dt, and the training set holds at least those.
+        """
+        rng = np.random.default_rng(7)
+        x = np.vstack([rng.normal(size=(450, 3)) + 0.6,
+                       rng.normal(size=(450, 3)) - 0.6])
+        labels = np.repeat([1, 2], 450)
+        ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
+        view = binary_view(ds, 1)
+        fw = FrameworkConfig(coarsest_max=60, q_dt=80, seed=7)
+        h = build_hierarchy(view, KnnConfig(k=5), fw)
+        rows = np.sort(np.concatenate([h.levels[1].pos_rows, h.levels[1].neg_rows]))
+        assert rows.size > fw.q_dt
+        coarse = LevelSolution(support_rows=rows, c=2.0, gamma=0.5, train_rows=rows.size)
+        return view, h, fw, coarse, refine_level(view, h, 0, coarse, False, None, None, fw)
+
     def test_cluster_branch_inherits_hyperparameters(self):
-        ds, view, fw, h, ud, sol = self.build(n=900, q_dt=80, coarsest_max=60,
-                                              overlap=0.6)
-        level = h.n_levels - 2
-        refined = refine_level(view, h, level, sol, False, ud, None, fw)
-        if refined.n_pairs is None:
-            pytest.skip("training set stayed below the cluster threshold")
-        assert (refined.c, refined.gamma) == (sol.c, sol.gamma)
+        view, h, fw, coarse, refined = self.cluster_case()
+        assert refined.n_pairs is not None
+        assert (refined.c, refined.gamma) == (coarse.c, coarse.gamma)
         assert refined.n_pairs >= max(refined.n_clusters)
         assert refined.support_rows.size > 0
+        assert refined.train_rows >= coarse.support_rows.size
+        # level 0 retrains the merged support vectors as one model
+        assert refined.model is not None
+        assert np.array_equal(np.sort(refined.model.sv_rows), refined.support_rows)
 
     def test_cluster_count_follows_size_ratio(self):
-        ds, view, fw, h, ud, sol = self.build(n=900, q_dt=80, coarsest_max=60,
-                                              overlap=0.6)
-        level = h.n_levels - 2
-        refined = refine_level(view, h, level, sol, False, ud, None, fw)
-        if refined.n_pairs is None:
-            pytest.skip("training set stayed below the cluster threshold")
+        view, h, fw, coarse, refined = self.cluster_case()
         k_pos, k_neg = refined.n_clusters
+        k_total = int(np.ceil(refined.train_rows / fw.q_dt))
         assert k_pos >= 1 and k_neg >= 1
+        assert abs(k_pos + k_neg - k_total) <= 1
 
     def test_empty_coarse_solution_rejected(self):
         ds, view, fw, h, ud, sol = self.build()
-        from mlsvm.multilevel import LevelSolution
         empty = LevelSolution(support_rows=np.array([], dtype=np.int64),
-                              c=1.0, gamma=0.1)
+                              c=1.0, gamma=0.1, train_rows=0)
         with pytest.raises(ValueError, match="no support vectors"):
             refine_level(view, h, 0, empty, False, ud, None, fw)
 
@@ -286,9 +335,27 @@ class TestTrainMultilevel:
             None, FrameworkConfig(coarsest_max=120, q_dt=400, seed=1))
         assert report.levels[0].level == len(report.levels) - 1
         assert report.levels[-1].level == 0
-        table = report.format_table()
-        assert table.splitlines()[0].startswith("level")
-        assert len(table.splitlines()) >= len(report.levels) + 1
+        first = report.levels[0]
+        assert first.mode == "coarsest"
+        assert first.train_rows == first.n_pos + first.n_neg
+        for row in report.levels:
+            assert row.n_sv <= row.train_rows
+            assert (row.mode == "cluster") == (row.n_pairs is not None) \
+                == (row.n_clusters is not None)
+        assert {row.mode for row in report.levels[1:]} == {"direct", "cluster"}
+        lines = report.format_table().splitlines()
+        assert lines[0].split("\t") == ["level", "n_pos", "n_neg", "mode", "train_rows",
+                                        "n_sv", "n_clusters", "n_pairs", "C", "gamma",
+                                        "seconds"]
+        assert len(lines) == len(report.levels) + 1
+        for line, row in zip(lines[1:], report.levels):
+            cells = line.split("\t")
+            assert cells[3] == row.mode and int(cells[4]) == row.train_rows
+            if row.mode == "cluster":
+                assert cells[6] == "%d/%d" % row.n_clusters
+                assert cells[7] == str(row.n_pairs)
+            else:
+                assert cells[6] == cells[7] == "-"
 
     def test_support_monotone_containment_per_level(self):
         ds = make_separable_blobs(n=1200, d=4, seed=11)

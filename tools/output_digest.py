@@ -13,8 +13,10 @@ depend on the code under test. Covered: the EM and mean imputers (fit and
 transform), ud_search outcomes with their traces, each candidate's entry
 holding its score and the number of folds trained for it (all of them, or
 fewer once it could no longer win; weighted and unweighted, balanced down
-to a one-row minority), multilevel model files with their level tables (direct and cluster-mode refinement), an approximate k-NN graph
-over 21,000 points, the CLI (``train`` for every method, ``predict`` on
+to a one-row minority), multilevel model files with their level tables
+(direct and cluster-mode refinement), the graphs of every level of the
+hierarchy those models are trained on, an approximate k-NN graph over
+21,000 points, the CLI (``train`` for every method, ``predict`` on
 imputed rows and, digesting the exit code with the output, on the raw
 ``?``-celled rows, ``impute``, ``evaluate`` and ``benchmark``), and each
 perfbench workload's trained model and its score op's completed matrix,
@@ -146,10 +148,16 @@ def searches(m):
 def multilevel(m, tmp):
     data = dataset(m, 7, 1500, 4, 450, shift=0.5)
     view = m.binary_view(data, 1)
+    knn, framework = m.KnnConfig(k=5), m.FrameworkConfig(coarsest_max=100, q_dt=250, seed=3)
+    hierarchy = m.multilevel.build_hierarchy(view, knn, framework)
+    emit("multilevel.hierarchy",
+         sha(*[part for lvl in hierarchy.levels for g in (lvl.pos_graph, lvl.neg_graph)
+               for part in (g.node_ids, g.neighbor_ids, g.neighbor_dists, g.k,
+                            g.und_indptr, g.und_indices)]))
     for weighted in (False, True):
         model, report = m.train_multilevel(
-            data, view, weighted, m.KnnConfig(k=5), m.UdConfig(internal_cv_folds=3),
-            m.SolverConfig(), m.FrameworkConfig(coarsest_max=100, q_dt=250, seed=3))
+            data, view, weighted, knn, m.UdConfig(internal_cv_folds=3),
+            m.SolverConfig(), framework)
         path = os.path.join(tmp, "ml.model")
         m.save_any_model(model, path)
         emit("multilevel.weighted=%s.model" % weighted, sha(read_bytes(path)))
