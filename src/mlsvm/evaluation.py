@@ -60,9 +60,9 @@ class EvalReport:
         g = self.metric_arrays()["gmean"]
         return float(g.std(ddof=1)) if g.size > 1 else 0.0
 
-    def seconds_total(self, phases=("train", "predict")) -> float:
-        return float(sum(sum(f.seconds.get(p, 0.0) for p in phases)
-                         for f in self.folds))
+    def seconds_total(self) -> float:
+        """Train plus predict seconds over every fold."""
+        return float(sum(f.seconds["train"] + f.seconds["predict"] for f in self.folds))
 
     def format_report(self) -> str:
         lines = ["fold\tTP\tFP\tFN\tTN\tSN\tSP\tGmean\tACC"]

@@ -7,6 +7,12 @@ against the exact graph, not any particular index structure. Only the
 level-0 graphs of the multilevel hierarchy are searched: a coarse graph is
 the restriction of the graph below it to the coarse node subset, its lists
 drawn from the fine lists and their neighbors' lists (``restrict_graph``).
+
+Every list is chosen by one step, ``_nearest_among``: given candidates per
+row, keep the k least by (d2, id), and search a row with fewer than k
+exactly. The restriction, the approximate search's co-leafed candidates and
+each of its refinement passes (a row's list, its neighbors' lists and the
+rows listing it, in the manner of NN-descent) are its candidate sets.
 """
 
 from __future__ import annotations
@@ -19,12 +25,10 @@ import numpy as np
 from mlsvm.data import Dataset
 
 EXACT_DEFAULT_LIMIT = 20_000
-_PAIR_CHUNK = 1 << 16          # co-leaf pairs gathered at once by the approximate search
+_PAIR_CHUNK = 1 << 16          # row-candidate pairs scored at once
 _EXACT_BLOCK = 512             # query rows per distance block in the exact search
-_RESTRICT_BLOCK = 512          # coarse nodes whose candidates are gathered at once
 _N_TREES = 12                  # random projection trees in the approximate index
 _LEAF_SIZE = 48                # most points per leaf
-_SEARCH_CHECKS = 1024          # most candidates searched per point
 _REFINE_ITERS = 3              # neighbor-of-neighbor improvement passes
 
 
@@ -118,47 +122,86 @@ def restrict_graph(data: Dataset, graph: KnnGraph, picked) -> KnnGraph:
     """
     picked = np.asarray(picked, dtype=np.int64)
     m = picked.size
-    k = min(graph.k, m - 1)
     rows = graph.node_ids[picked]
-    x = np.ascontiguousarray(data.features[rows])
-    sq = np.einsum("ij,ij->i", x, x)
-    # coarse position of each fine node; m marks one not picked and, as it
-    # sorts after every real position, each dropped candidate below
+    # coarse position of each fine node; m marks one not picked
     coarse = np.full(graph.n_nodes, m, dtype=np.int64)
     coarse[picked] = np.arange(m)
-    nbr_ids = np.empty((m, k), dtype=np.int64)
-    nbr_d2 = np.empty((m, k))
-    short = []
-    for start in range(0, m, _RESTRICT_BLOCK):
-        me = np.arange(start, min(start + _RESTRICT_BLOCK, m))
+
+    def candidates(me):
         one = graph.neighbor_ids[picked[me]]
         two = graph.neighbor_ids[one].reshape(me.size, -1)
-        cand = coarse[np.concatenate((one, two), axis=1)]
-        cand[cand == me[:, None]] = m
-        cand.sort(axis=1)
-        cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = m
-        valid = cand < m
-        at = np.where(valid, cand, 0)
-        ab = np.matmul(x[at], x[me, :, None])[:, :, 0]   # node . candidate
-        ab *= 2.0
-        d2 = sq[me, None] + sq[at]
-        d2 -= ab
-        np.maximum(d2, 0.0, out=d2)
-        d2[~valid] = np.inf
-        pick = np.lexsort((cand, d2), axis=1)[:, :k]
-        nbr_ids[me] = np.take_along_axis(cand, pick, 1)
-        nbr_d2[me] = np.take_along_axis(d2, pick, 1)
-        short.append(me[valid.sum(axis=1) < k])
-    short = np.concatenate(short)
-    if short.size:
-        nbr_ids[short], nbr_d2[short] = _exact_knn(x, k, short)
-    return _graph(rows, nbr_ids, nbr_d2)
+        return coarse[np.concatenate((one, two), axis=1)]
+
+    x = np.ascontiguousarray(data.features[rows])
+    return _graph(rows, *_nearest_among(x, min(graph.k, m - 1), candidates,
+                                        graph.k * (graph.k + 1)))
 
 
 def _graph(rows, nbr_ids, nbr_d2) -> KnnGraph:
     indptr, indices = _symmetric_closure(nbr_ids, rows.size)
     return KnnGraph(rows, nbr_ids, np.sqrt(np.maximum(nbr_d2, 0.0)),
                     nbr_ids.shape[1], indptr, indices)
+
+
+def _k_least(d2: np.ndarray, k: int) -> np.ndarray:
+    """The columns of each row's k least values, ties to the lower column."""
+    rows, width = d2.shape
+    if k < width:
+        part = np.argpartition(d2, k, axis=1)
+        cols = part[:, :k]
+        # the least value left out ties the greatest kept one
+        tied = (d2[np.arange(rows), part[:, k]]
+                <= np.take_along_axis(d2, cols, 1).max(axis=1, initial=-np.inf))
+    else:
+        cols = np.broadcast_to(np.arange(width), d2.shape)
+        tied = np.zeros(rows, dtype=bool)
+    order = np.lexsort((cols, np.take_along_axis(d2, cols, 1)), axis=1)[:, :k]
+    ids = np.take_along_axis(cols, order, 1)
+    for r in np.flatnonzero(tied):
+        # widen to every tied column so that the lower one can win
+        row = d2[r]
+        wide = np.flatnonzero(row <= row[ids[r]].max())
+        ids[r] = wide[np.lexsort((wide, row[wide]))][:k]
+    return ids
+
+
+def _nearest_among(x: np.ndarray, k: int, candidates, width: int):
+    """Each row's k nearest candidates, in (d2, id) order.
+
+    candidates(me) gives, for a block of row positions me, a matrix of at
+    most width row positions per row, padded with n = len(x); the row itself
+    and repeats are dropped. A row left with fewer than k candidates is
+    searched exactly over every row.
+    """
+    n = x.shape[0]
+    sq = np.einsum("ij,ij->i", x, x)
+    nbr_ids = np.empty((n, k), dtype=np.int64)
+    nbr_d2 = np.empty((n, k))
+    short = []
+    step = max(1, _PAIR_CHUNK // max(1, width))
+    for start in range(0, n, step):
+        me = np.arange(start, min(start + step, n))
+        cand = candidates(me)
+        # n sorts after every real position, so it also pads each dropped one
+        cand[cand == me[:, None]] = n
+        cand.sort(axis=1)
+        cand[:, 1:][cand[:, 1:] == cand[:, :-1]] = n
+        valid = cand < n
+        at = np.where(valid, cand, 0)
+        ab = np.matmul(x[at], x[me, :, None])[:, :, 0]   # row . candidate
+        ab *= 2.0
+        d2 = sq[me, None] + sq[at]
+        d2 -= ab
+        np.maximum(d2, 0.0, out=d2)
+        d2[~valid] = np.inf
+        pick = _k_least(d2, k)
+        nbr_ids[me] = np.take_along_axis(cand, pick, 1)
+        nbr_d2[me] = np.take_along_axis(d2, pick, 1)
+        short.append(me[valid.sum(axis=1) < k])
+    short = np.concatenate(short)
+    if short.size:
+        nbr_ids[short], nbr_d2[short] = _exact_knn(x, k, short)
+    return nbr_ids, nbr_d2
 
 
 def _exact_knn(x: np.ndarray, k: int, queries=None):
@@ -174,7 +217,6 @@ def _exact_knn(x: np.ndarray, k: int, queries=None):
     nbr_d2 = np.empty((queries.size, k))
     for start in range(0, queries.size, _EXACT_BLOCK):
         q = queries[start:start + _EXACT_BLOCK]
-        at = np.arange(q.size)
         # a block of every row stays a view: numpy then takes x @ x.T by
         # syrk, whose sums differ in the last bits from gemm's
         ab = (x[start:start + q.size] if every else x[q]) @ x.T
@@ -182,22 +224,8 @@ def _exact_knn(x: np.ndarray, k: int, queries=None):
         d2 = np.add.outer(sq[q], sq)
         d2 -= ab
         np.maximum(d2, 0.0, out=d2)
-        d2[at, q] = np.inf
-        if k < n - 1:
-            part = np.argpartition(d2, k, axis=1)
-            cand = part[:, :k]
-            # the nearest point left out ties the farthest kept one
-            tied = d2[at, part[:, k]] <= np.take_along_axis(d2, cand, 1).max(axis=1)
-        else:
-            cand = np.broadcast_to(np.arange(n), d2.shape)
-            tied = np.zeros(q.size, dtype=bool)
-        order = np.lexsort((cand, np.take_along_axis(d2, cand, 1)), axis=1)[:, :k]
-        ids = np.take_along_axis(cand, order, 1)
-        for r in np.flatnonzero(tied):
-            # widen to every tied point so that the lower index can win
-            row = d2[r]
-            wide = np.flatnonzero(row <= row[ids[r]].max())
-            ids[r] = wide[np.lexsort((wide, row[wide]))][:k]
+        d2[np.arange(q.size), q] = np.inf
+        ids = _k_least(d2, k)
         nbr_ids[start:start + q.size] = ids
         nbr_d2[start:start + q.size] = np.take_along_axis(d2, ids, 1)
     return nbr_ids, nbr_d2
@@ -239,121 +267,49 @@ def _approx_knn(x: np.ndarray, k: int, seed: int):
         leaves: list[np.ndarray] = []
         _rp_tree_leaves(x, np.arange(n), _LEAF_SIZE, rng, leaves)
         sizes = np.array([leaf.size for leaf in leaves], dtype=np.int64)
+        leaf = np.repeat(np.arange(sizes.size), sizes)
         members = np.concatenate(leaves)
-        # the leaves partition the points: each point's leaf as (start, size)
-        leaf_start = np.empty(n, dtype=np.int64)
-        leaf_size = np.empty(n, dtype=np.int64)
-        leaf_start[members] = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        leaf_size[members] = np.repeat(sizes, sizes)
-        trees.append((members, leaf_start, leaf_size))
-    sq = np.einsum("ij,ij->i", x, x)
-    nbr_ids = np.empty((n, k), dtype=np.int64)
-    nbr_d2 = np.empty((n, k))
-    step = max(1, _PAIR_CHUNK // max(1, k, _N_TREES * _LEAF_SIZE))
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        cand, group = _leaf_candidates(trees, a, b, n, _SEARCH_CHECKS)
-        ptr = [0] + np.cumsum(group).tolist()
-        d2 = np.empty(cand.size)
-        for r in range(b - a):
-            d2[ptr[r]:ptr[r + 1]] = _dist2(x, sq, cand[ptr[r]:ptr[r + 1]], a + r)
-        nbr_ids[a:b], nbr_d2[a:b] = _k_smallest(cand, d2, group, k, n)
-        for i in a + np.flatnonzero(group < k):
-            # too few co-leafed points: search all of them
-            cand_i = np.delete(np.arange(n), i)
-            d2_i = _dist2(x, sq, cand_i, i)
-            pick = d2_i.argsort(kind="stable")[:k]
-            nbr_ids[i], nbr_d2[i] = cand_i[pick], d2_i[pick]
+        # one row per leaf listing its points, padded with n; each point's leaf
+        table = np.full((sizes.size, _LEAF_SIZE), n, dtype=np.int64)
+        table[leaf, np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = members
+        leaf_of = np.empty(n, dtype=np.int64)
+        leaf_of[members] = leaf
+        trees.append((table, leaf_of))
+    # a row needs k columns, even when it has fewer co-leafed points
+    pad = max(0, k - _N_TREES * _LEAF_SIZE)
+
+    def co_leafed(me):
+        return np.concatenate([table[leaf_of[me]] for table, leaf_of in trees]
+                              + [np.full((me.size, pad), n)], axis=1)
+
+    nbr_ids, nbr_d2 = _nearest_among(x, k, co_leafed, _N_TREES * _LEAF_SIZE + pad)
     for _ in range(_REFINE_ITERS):
-        if not _refine_neighbors(x, sq, nbr_ids, nbr_d2):
+        before = nbr_ids
+        nbr_ids, nbr_d2 = _refine_pass(x, nbr_ids)
+        if np.array_equal(nbr_ids, before):
             break
     return nbr_ids, nbr_d2
 
 
-def _dist2(x, sq, cand, i):
-    """Squared distances from point i to the candidate rows, in their order."""
-    # take() gathers the same rows as x[cand], with less call overhead
-    d2 = sq[cand] + sq[i] - 2.0 * (x.take(cand, axis=0) @ x[i])
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+def _refine_pass(x: np.ndarray, nbr_ids: np.ndarray):
+    """One pass of neighbor-of-neighbor and reverse-neighbor improvement.
 
-
-def _leaf_candidates(trees, a: int, b: int, n: int, checks: int):
-    """Search candidates of points a..b-1, flat and grouped by point.
-
-    A point's candidates are the points sharing a leaf with it in any tree,
-    in index order; past ``checks`` of them, the ``checks`` most often
-    co-leafed (ties to the lower index) in that order.
-    """
-    pts = np.arange(a, b, dtype=np.int64)
-    keys = []
-    for members, leaf_start, leaf_size in trees:
-        sz = leaf_size[pts]
-        offset = np.arange(sz.sum()) - np.repeat(np.cumsum(sz) - sz, sz)
-        src = np.repeat(pts, sz)
-        keys.append(src * n + members[np.repeat(leaf_start[pts], sz) + offset])
-    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
-    src, cand = keys // n, keys % n
-    keep = src != cand
-    src, cand, counts = src[keep], cand[keep], counts[keep]
-    group = np.bincount(src - a, minlength=b - a)
-    if (group > checks).any():
-        # frequently co-leafed points are the most promising candidates
-        rank_key = np.where(group[src - a] > checks, -counts, 0)
-        order = np.lexsort((cand, rank_key, src))
-        first = np.repeat(np.cumsum(group) - group, group)
-        cand = cand[order[np.arange(cand.size) - first < checks]]
-        group = np.minimum(group, checks)
-    return cand, group
-
-
-def _k_smallest(cand, d2, group, k: int, n: int):
-    """Per group of candidates, the k of least (d2, id).
-
-    Groups become the rows of a matrix; a group shorter than the widest is
-    padded with (d2 NaN, id n), which sorts after every real candidate.
-    """
-    width = max(k, int(group.max()))
-    first = np.repeat(np.cumsum(group) - group, group)
-    row = np.repeat(np.arange(group.size), group)
-    col = np.arange(cand.size) - first
-    ids = np.full((group.size, width), n, dtype=np.int64)
-    dist = np.full((group.size, width), np.nan)
-    ids[row, col] = cand
-    dist[row, col] = d2
-    pick = np.lexsort((ids, dist), axis=1)[:, :k]
-    return np.take_along_axis(ids, pick, 1), np.take_along_axis(dist, pick, 1)
-
-
-def _refine_neighbors(x, sq, nbr_ids, nbr_d2) -> bool:
-    """One pass of neighbor-of-neighbor (and reverse-neighbor) improvement.
-
-    Points are visited in order and see the lists already improved in this
-    pass; the reverse lists are those at the start of the pass.
+    Each row's candidates are its list, its neighbors' lists and every row
+    that lists it, all as they stand at the start of the pass.
     """
     n, k = nbr_ids.shape
+    # row i of reverse lists the rows whose lists hold i, padded with n
     order = np.argsort(nbr_ids.ravel(), kind="stable")
-    rev_src = np.repeat(np.arange(n), k)[order]
-    rev_dst = nbr_ids.ravel()[order]
-    bounds = np.searchsorted(rev_dst, np.arange(n + 1)).tolist()
-    changed = False
-    for i in range(n):
-        nbrs = nbr_ids[i]
-        cand = np.concatenate((nbrs, nbr_ids.take(nbrs, axis=0).ravel(),
-                               rev_src[bounds[i]:bounds[i + 1]]))
-        cand.sort()
-        keep = cand != i
-        keep[1:] &= cand[1:] != cand[:-1]
-        cand = cand[keep]
-        d2 = _dist2(x, sq, cand, i)
-        # cand ascends, so a stable sort on d2 breaks ties to the lower id
-        pick = d2.argsort(kind="stable")[:k]
-        new_ids = cand[pick]
-        if new_ids.tobytes() != nbrs.tobytes():
-            changed = True
-            nbr_ids[i] = new_ids
-            nbr_d2[i] = d2[pick]
-    return changed
+    counts = np.bincount(nbr_ids.ravel(), minlength=n)
+    reverse = np.full((n, counts.max()), n, dtype=np.int64)
+    reverse[nbr_ids.ravel()[order],
+            np.arange(n * k) - np.repeat(np.cumsum(counts) - counts, counts)] = order // k
+
+    def candidates(me):
+        one = nbr_ids[me]
+        return np.concatenate((one, nbr_ids[one].reshape(me.size, -1), reverse[me]), axis=1)
+
+    return _nearest_among(x, k, candidates, k * (k + 1) + reverse.shape[1])
 
 
 def _symmetric_closure(nbr_ids: np.ndarray, n: int):

@@ -3,8 +3,9 @@
 Everything here is deliberately written against the math, not against the
 library's internals: dense projected-gradient ascent for the dual QP, the
 dual objective and KKT conditions of a trained model, naive nearest-neighbor
-search (also restricted to a subset through a fine graph's lists) and
-neighbor recall, and the covariance behind an imputer's scatter.
+search (also restricted to a subset through a fine graph's lists, and one
+refinement pass over given lists) and neighbor recall, and the covariance
+behind an imputer's scatter.
 """
 
 from __future__ import annotations
@@ -97,6 +98,27 @@ def restricted_knn(x: np.ndarray, fine_ids: np.ndarray, picked: np.ndarray):
         cand = {local[j] for j in hops if j in local} - {i}
         out.append(_nearest(xc, i, cand if len(cand) >= k else range(m), k))
     return np.array(out, dtype=np.int64).reshape(m, k)
+
+
+def refined_knn(x: np.ndarray, ids: np.ndarray):
+    """One refinement pass over the directed lists ids of the points x.
+
+    Point i's candidates are its own list, its neighbors' lists and every
+    point whose list holds i, all as given, other than i itself. It keeps
+    its k nearest of them, ties to the lower index.
+    """
+    n, k = ids.shape
+    reverse = [set() for _ in range(n)]
+    for i in range(n):
+        for j in ids[i]:
+            reverse[j].add(i)
+    out = []
+    for i in range(n):
+        cand = set(ids[i].tolist()) | reverse[i]
+        for j in ids[i]:
+            cand.update(ids[j].tolist())
+        out.append(_nearest(x, i, cand, k))
+    return np.array(out, dtype=np.int64).reshape(n, k)
 
 
 def dual_objective(model) -> float:

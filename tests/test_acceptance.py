@@ -138,7 +138,6 @@ def test_criterion_05_coarsening_structure_on_100_graphs(monkeypatch):
     rng = np.random.default_rng(1005)
     monkeypatch.setattr(knn, "_N_TREES", 4)
     monkeypatch.setattr(knn, "_LEAF_SIZE", 24)
-    monkeypatch.setattr(knn, "_SEARCH_CHECKS", 128)
     monkeypatch.setattr(knn, "_REFINE_ITERS", 1)
     cfg = KnnConfig(k=10, mode="approximate")
     t0 = time.perf_counter()

@@ -4,14 +4,13 @@ import pytest
 from mlsvm import knn
 from mlsvm.data import Dataset
 from mlsvm.knn import KnnConfig, _exact_knn, _median, build_knn_graph, restrict_graph
-from oracles import brute_knn, knn_recall, restricted_knn
+from oracles import brute_knn, knn_recall, refined_knn, restricted_knn
 
 
-def set_forest(monkeypatch, n_trees, leaf_size, search_checks, refine_iters):
+def set_forest(monkeypatch, n_trees, leaf_size, refine_iters):
     """Give the approximate index these constants for one test."""
     monkeypatch.setattr(knn, "_N_TREES", n_trees)
     monkeypatch.setattr(knn, "_LEAF_SIZE", leaf_size)
-    monkeypatch.setattr(knn, "_SEARCH_CHECKS", search_checks)
     monkeypatch.setattr(knn, "_REFINE_ITERS", refine_iters)
 
 
@@ -121,6 +120,49 @@ class TestExact:
         ds = points_dataset(x)
         g = build_knn_graph(ds, np.arange(15), KnnConfig(k=3, mode="exact"))
         assert (np.diff(g.und_indptr) >= 1).all()
+
+
+class TestKLeast:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_k_matches_full_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        d2 = rng.integers(0, 4, size=(40, 11)).astype(float)
+        d2[rng.random(d2.shape) < 0.25] = np.inf
+        d2[0] = np.inf
+        d2[1] = 2.0
+        full = np.lexsort((np.broadcast_to(np.arange(11), d2.shape), d2), axis=1)
+        for k in range(12):
+            assert np.array_equal(knn._k_least(d2, k), full[:, :k]), k
+
+
+def lists_with_hub(n, k, seed):
+    """Distinct directed lists without self, point 0 listed by 3k+1 rows."""
+    rng = np.random.default_rng(seed)
+    ids = np.array([rng.choice(np.delete(np.arange(n), i), k, replace=False)
+                    for i in range(n)])
+    for i in range(1, 3 * k + 2):
+        if 0 not in ids[i]:
+            ids[i, 0] = 0
+    return ids
+
+
+class TestRefine:
+    @pytest.mark.parametrize("name", ["random", "duplicated", "grid", "equal"])
+    def test_pass_matches_oracle(self, name):
+        x = integer_points(name)
+        ids = lists_with_hub(x.shape[0], 3, seed=30)
+        new, d2 = knn._refine_pass(x, ids)
+        assert np.array_equal(new, refined_knn(x, ids))
+        assert np.array_equal(d2, ((x[new] - x[:, None, :]) ** 2).sum(axis=2))
+
+    def test_pass_never_raises_kth_distance(self):
+        x = np.random.default_rng(31).integers(-20, 21, size=(400, 4)).astype(float)
+        ids = lists_with_hub(400, 5, seed=32)
+        for _ in range(3):
+            before = ((x[ids] - x[:, None, :]) ** 2).sum(axis=2).max(axis=1)
+            ids, d2 = knn._refine_pass(x, ids)
+            assert (d2[:, -1] <= before).all()
+            assert (d2[:, -1] < before).any()
 
 
 def restrict(x, k, picked, mode="exact"):
@@ -248,24 +290,29 @@ class TestRecall:
 class TestApproximate:
     def test_one_leaf_holding_every_point_is_exact(self, monkeypatch):
         x = np.random.default_rng(11).normal(size=(90, 3))
-        set_forest(monkeypatch, n_trees=2, leaf_size=100, search_checks=1000,
-                   refine_iters=0)
+        set_forest(monkeypatch, n_trees=2, leaf_size=100, refine_iters=0)
         cfg = KnnConfig(k=6, mode="approximate")
         g = build_knn_graph(points_dataset(x), np.arange(90), cfg, seed=1)
         assert np.array_equal(g.neighbor_ids, brute_knn(x, 6))
 
+    @pytest.mark.parametrize("name", ["random", "duplicated", "grid", "equal"])
+    def test_one_leaf_breaks_ties_by_index(self, monkeypatch, name):
+        x = integer_points(name)
+        set_forest(monkeypatch, n_trees=2, leaf_size=100, refine_iters=1)
+        cfg = KnnConfig(k=6, mode="approximate")
+        g = build_knn_graph(points_dataset(x), np.arange(x.shape[0]), cfg, seed=1)
+        assert np.array_equal(g.neighbor_ids, brute_knn(x, 6))
+
     def test_too_few_candidates_falls_back_to_full_search(self, monkeypatch):
         x = np.random.default_rng(12).normal(size=(80, 3))
-        set_forest(monkeypatch, n_trees=1, leaf_size=4, search_checks=2,
-                   refine_iters=0)
+        set_forest(monkeypatch, n_trees=1, leaf_size=4, refine_iters=0)
         cfg = KnnConfig(k=5, mode="approximate")
         g = build_knn_graph(points_dataset(x), np.arange(80), cfg, seed=2)
         assert np.array_equal(g.neighbor_ids, brute_knn(x, 5))
 
     def test_lists_are_sorted_distinct_and_recompute(self, monkeypatch):
         x = np.random.default_rng(13).normal(size=(700, 4))
-        set_forest(monkeypatch, n_trees=3, leaf_size=20, search_checks=30,
-                   refine_iters=2)
+        set_forest(monkeypatch, n_trees=3, leaf_size=20, refine_iters=2)
         cfg = KnnConfig(k=8, mode="approximate")
         g = build_knn_graph(points_dataset(x), np.arange(700), cfg, seed=3)
         assert (np.diff(g.neighbor_dists, axis=1) >= 0).all()

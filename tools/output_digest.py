@@ -15,10 +15,12 @@ holding its score and the number of folds trained for it (all of them, or
 fewer once it could no longer win; weighted and unweighted, balanced down
 to a one-row minority), multilevel model files with their level tables
 (direct and cluster-mode refinement), the graphs of every level of the
-hierarchy those models are trained on, an approximate k-NN graph over
-21,000 points, the CLI (``train`` for every method, ``predict`` on
-imputed rows and, digesting the exit code with the output, on the raw
-``?``-celled rows, ``impute``, ``evaluate`` and ``benchmark``), and each
+hierarchy those models are trained on, two approximate k-NN graphs (over
+21,000 points, and over 6,000 integer points, most with more than k
+copies, so that nearly every list ends in a tie broken by index), the CLI
+(``train`` for every method, ``predict`` on imputed rows and, digesting
+the exit code with the output, on the raw ``?``-celled rows, ``impute``,
+``evaluate`` and ``benchmark``), and each
 perfbench workload's trained model and its score op's completed matrix,
 labels and margins (training seed 0, held-out seed 1), using the ops in the
 ``perfbench`` directory next to SRC_DIR. The seconds column of a report table is dropped;
@@ -171,6 +173,16 @@ def knn_graph(m):
     g = m.build_knn_graph(data, np.arange(x.shape[0]),
                           m.KnnConfig(k=10, mode="approximate"), seed=5)
     emit("knn.approximate.n=21000",
+         sha(g.node_ids, g.neighbor_ids, g.neighbor_dists, g.k, g.und_indptr,
+             g.und_indices))
+    # rounded to integers, most points have more than k copies: every list
+    # ends in a tie that the lower index must win
+    x, _, _ = draw(12, 6_000, 3, 3_000, rho=0.0)
+    x = np.round(x)
+    data = m.Dataset(x, np.zeros(x.shape, dtype=bool), np.ones(x.shape[0], dtype=int), (1,))
+    g = m.build_knn_graph(data, np.arange(x.shape[0]),
+                          m.KnnConfig(k=10, mode="approximate"), seed=6)
+    emit("knn.approximate.duplicated.n=6000",
          sha(g.node_ids, g.neighbor_ids, g.neighbor_dists, g.k, g.und_indptr,
              g.und_indices))
 
