@@ -241,16 +241,17 @@ def cmd_train(args) -> int:
     if args.c_fixed is not None and args.method not in ("svm", "wsvm"):
         raise ValueError("--C/--gamma are only for flat methods; multilevel "
                          "training selects hyperparameters internally")
+    kwargs = _train_kwargs(args)    # a bad config value fails before any work
     pipe, data = _about(args.infile, fit_pipeline, _load(args), args.imputer,
                         _config(RemConfig, args))
     view = binary_view(data, default_positive_class(data, args.positive_class))
     if args.c_fixed is None:
         pipe.model, report = _about(args.infile, lambda: train_method(
-            view, args.method, args.seed, **_train_kwargs(args)))
+            view, args.method, args.seed, **kwargs))
     else:
         weights = class_weights(args.c_fixed, args.method == "wsvm", view.y())
         pipe.model = _about(args.infile, train_svm, view, weights,
-                            KernelParams(args.gamma), _config(SolverConfig, args))
+                            KernelParams(args.gamma), kwargs["solver_config"])
     save_any_model(pipe, args.model)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -105,13 +105,13 @@ class NormalizationStats:
 def load_dataset(path, fmt: str = "delimited", *, label_column=-1,
                  missing_token: str = "?", delimiter: str = ",",
                  n_features: int | None = None) -> Dataset:
-    """Load a dataset from delimited text or sparse index:value format.
-
-    Delimited: optional header line, one label column, missing_token marks
-    absent cells. Sparse: ``<label> <index>:<value> ...`` with 1-based indices;
-    absent indices mean 0.0 and are NOT treated as missing.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
+    """Load a delimited or sparse (``<label> <index>:<value> ...``, 1-based,
+    absent indices 0.0, not missing) UTF-8 file; a leading BOM is dropped.
+    Each cell is read once, as float() reads it, and must be finite; a label
+    must be an integer within int64; the first bad cell in file order raises
+    DataFormatError. A delimited first row is a header only when label_column
+    is a name or its label cell is not a number (nor missing_token)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = fh.read()
     lines = [(no + 1, ln) for no, ln in enumerate(raw.splitlines()) if ln.strip()]
     if not lines:
@@ -124,46 +124,61 @@ def load_dataset(path, fmt: str = "delimited", *, label_column=-1,
     raise ValueError("unknown format %r (expected 'delimited' or 'sparse')" % fmt)
 
 
-def _is_float(tok: str) -> bool:
+def _value(tok, missing_token):
+    """The cell rule: NaN for missing_token, else float(tok) when finite;
+    ValueError("unparseable") or ValueError("non-finite") otherwise."""
+    if tok == missing_token:
+        return math.nan
     try:
-        float(tok)
-        return True
+        value = float(tok)
     except ValueError:
-        return False
+        raise ValueError("unparseable") from None
+    if math.isfinite(value):
+        return value
+    raise ValueError("non-finite")
 
 
-def _finite_label(path, no, column, tok):
-    value = float(tok)
-    if not math.isfinite(value):
-        raise DataFormatError("%s: line %d column %d has non-finite label %r"
-                              % (path, no, column, tok))
-    if not value.is_integer():
-        raise DataFormatError("%s: line %d column %d has non-integral label %r"
-                              % (path, no, column, tok))
-    return int(value)
+def _label_fault(value, tok, missing_token):
+    """None when value, tok read by the cell rule, is a class label: not
+    missing, and an integer within int64; else what is wrong with it."""
+    if value.is_integer() and abs(value) < 2.0 ** 63:     # NaN fails
+        return None
+    return ("unparseable" if tok == missing_token else
+            "out-of-range" if value.is_integer() else "non-integral")
+
+
+def _row(path, no, cells, label_idx, missing_token):
+    """(label, feature values) of one row's cells, read by the cell rule; a
+    bad row raises DataFormatError naming its first bad cell."""
+    try:
+        values = [_value(tok, missing_token) for tok in cells]
+        label = values.pop(label_idx)
+        if _label_fault(label, cells[label_idx], missing_token) is None:
+            return int(label), values
+    except ValueError:
+        pass
+    for i, tok in enumerate(cells):
+        try:
+            value = _value(tok, missing_token)
+            fault = _label_fault(value, tok, missing_token) if i == label_idx else None
+        except ValueError as exc:
+            fault = str(exc)
+        what = "label" if i == label_idx else "value"
+        if fault == "unparseable" and what == "label":
+            raise DataFormatError("%s: line %d has unparseable label %r" % (path, no, tok))
+        if fault is not None:
+            raise DataFormatError("%s: line %d column %d has %s %s %r"
+                                  % (path, no, i + 1, fault, what, tok))
 
 
 def _load_delimited(path, lines, label_column, missing_token, delimiter):
-    rows = [(no, [c.strip() for c in ln.split(delimiter)]) for no, ln in lines]
-    arity = len(rows[0][1])
-    feature_names = None
-    first = rows[0][1]
-    if isinstance(label_column, str) or any(
-            not _is_float(tok) and tok != missing_token for tok in first):
-        columns = first
-        rows = rows[1:]
-        if not rows:
-            raise DataFormatError("%s: no data rows after header" % path)
-    else:
-        columns = None
-    for no, cells in rows:
-        if len(cells) != arity:
-            raise DataFormatError("%s: line %d has %d fields, expected %d"
-                                  % (path, no, len(cells), arity))
+    first = [c.strip() for c in lines[0][1].split(delimiter)]
+    arity = len(first)
     if isinstance(label_column, str):
-        if columns is None or label_column not in columns:
+        if label_column not in first:
             raise DataFormatError("%s: unknown label column %r" % (path, label_column))
-        label_idx = columns.index(label_column)
+        label_idx = first.index(label_column)
+        header = True
     else:
         label_idx = int(label_column)
         if label_idx < 0:
@@ -171,59 +186,44 @@ def _load_delimited(path, lines, label_column, missing_token, delimiter):
         if not 0 <= label_idx < arity:
             raise DataFormatError("%s: label column index %s out of range"
                                   % (path, label_column))
-    if columns is not None:
-        feature_names = tuple(c for i, c in enumerate(columns) if i != label_idx)
-    n_f = arity - 1
-    l = len(rows)
-    features = np.zeros((l, n_f))
-    mask = np.zeros((l, n_f), dtype=bool)
-    labels = np.zeros(l, dtype=np.int64)
-    for r, (no, cells) in enumerate(rows):
-        lab_tok = cells[label_idx]
-        if lab_tok == missing_token or not _is_float(lab_tok):
-            raise DataFormatError("%s: line %d has unparseable label %r"
-                                  % (path, no, lab_tok))
-        labels[r] = _finite_label(path, no, label_idx + 1, lab_tok)
-        c = 0
-        for i, tok in enumerate(cells):
-            if i == label_idx:
-                continue
-            if tok == missing_token:
-                mask[r, c] = True
-                features[r, c] = np.nan
-            elif _is_float(tok):
-                features[r, c] = float(tok)
-            else:
-                raise DataFormatError("%s: line %d column %d has unparseable value %r"
-                                      % (path, no, i + 1, tok))
-            c += 1
-    bad = ~(np.isfinite(features) | mask)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        i = c + (c >= label_idx)
-        no, cells = rows[r]
-        raise DataFormatError("%s: line %d column %d has non-finite value %r"
-                              % (path, no, i + 1, cells[i]))
-    return Dataset(features, mask, labels, _class_order(labels), feature_names)
+        try:
+            _value(first[label_idx], missing_token)
+            header = False
+        except ValueError as exc:       # a header's label cell is a name
+            header = str(exc) == "unparseable"
+    feature_names = None
+    if header:
+        feature_names = tuple(first[:label_idx] + first[label_idx + 1:])
+        lines = lines[1:]
+        if not lines:
+            raise DataFormatError("%s: no data rows after header" % path)
+    labels, features = [], []
+    for no, ln in lines:    # split here, so one row's tokens are held at a time
+        cells = [c.strip() for c in ln.split(delimiter)]
+        if len(cells) != arity:
+            raise DataFormatError("%s: line %d has %d fields, expected %d"
+                                  % (path, no, len(cells), arity))
+        label, values = _row(path, no, cells, label_idx, missing_token)
+        labels.append(label)
+        features.append(values)
+    features, labels = np.array(features), np.array(labels, dtype=np.int64)
+    return Dataset(features, np.isnan(features), labels, _class_order(labels),
+                   feature_names)
 
 
 def _load_sparse(path, lines, n_features):
-    parsed = []
-    max_idx = 0
-    for no, ln in lines:
+    labels, rows, cols, values = [], [], [], []
+    for r, (no, ln) in enumerate(lines):
         toks = ln.split()
-        if not _is_float(toks[0]):
-            raise DataFormatError("%s: line %d has unparseable label %r"
-                                  % (path, no, toks[0]))
-        label = _finite_label(path, no, 1, toks[0])
-        pairs = []
+        labels.append(_row(path, no, toks[:1], 0, None)[0])
         seen = set()
         for tok in toks[1:]:
-            if ":" not in tok:
-                raise DataFormatError("%s: line %d has malformed pair %r"
-                                      % (path, no, tok))
-            idx_s, val_s = tok.split(":", 1)
-            if not idx_s.isdigit() or not _is_float(val_s):
+            idx_s, colon, val_s = tok.partition(":")
+            try:
+                value, fault = _value(val_s, None), None
+            except ValueError as exc:
+                value, fault = None, str(exc)
+            if not (colon and idx_s.isdigit()) or fault == "unparseable":
                 raise DataFormatError("%s: line %d has malformed pair %r"
                                       % (path, no, tok))
             idx = int(idx_s)
@@ -232,27 +232,21 @@ def _load_sparse(path, lines, n_features):
                                       % (path, no, idx))
             if idx in seen:
                 raise DataFormatError("%s: line %d repeats index %d" % (path, no, idx))
+            if fault is not None:
+                raise DataFormatError("%s: line %d index %d has non-finite value %r"
+                                      % (path, no, idx, float(val_s)))
             seen.add(idx)
-            pairs.append((idx, float(val_s)))
-            max_idx = max(max_idx, idx)
-        parsed.append((no, label, pairs))
+            rows.append(r)
+            cols.append(idx - 1)
+            values.append(value)
+    max_idx = max(cols, default=-1) + 1
     n_f = n_features if n_features is not None else max_idx
     if max_idx > n_f:
         raise DataFormatError("%s: index %d exceeds n_features=%d" % (path, max_idx, n_f))
-    l = len(parsed)
-    features = np.zeros((l, n_f))
-    labels = np.zeros(l, dtype=np.int64)
-    for r, (_, label, pairs) in enumerate(parsed):
-        labels[r] = label
-        for idx, val in pairs:
-            features[r, idx - 1] = val
-    bad = ~np.isfinite(features)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise DataFormatError("%s: line %d index %d has non-finite value %r"
-                              % (path, parsed[r][0], c + 1, float(features[r, c])))
-    mask = np.zeros((l, n_f), dtype=bool)
-    return Dataset(features, mask, labels, _class_order(labels))
+    features = np.zeros((len(lines), n_f))
+    features[rows, cols] = values
+    return Dataset(features, np.zeros(features.shape, dtype=bool), labels,
+                   _class_order(np.array(labels)))
 
 
 def _class_order(labels: np.ndarray) -> tuple:

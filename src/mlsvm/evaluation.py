@@ -145,6 +145,9 @@ def run_cv(data: Dataset, positive_class: int, method: str,
         raise ValueError("unknown method %r" % method)
     if positive_class not in data.class_names:
         raise ValueError("class %r not in dataset" % positive_class)
+    if folds > data.n_rows:
+        raise ValueError("%d folds for %d rows: every fold needs a held-out row"
+                         % (folds, data.n_rows))
     y_signed = np.where(data.labels == positive_class, 1, -1)
     assign = stratified_folds(y_signed, folds, seed)
 

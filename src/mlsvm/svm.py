@@ -34,8 +34,8 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite, got %r" % self.gamma)
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class ClassWeights:
     c_minus: float
 
     def __post_init__(self):
-        if not (self.c_plus > 0 and self.c_minus > 0):
-            raise ValueError("class penalties must be strictly positive")
+        if not (0 < self.c_plus < math.inf and 0 < self.c_minus < math.inf):
+            raise ValueError("class penalties must be strictly positive and finite, "
+                             "got c_plus=%r, c_minus=%r" % (self.c_plus, self.c_minus))
 
     @staticmethod
     def uniform(c: float) -> "ClassWeights":
@@ -74,8 +75,9 @@ class SolverConfig:
     cache_bytes: int = 512 * 1024 * 1024
 
     def __post_init__(self):
-        if not self.kkt_tolerance > 0:
-            raise ValueError("kkt_tolerance must be positive")
+        if not 0 < self.kkt_tolerance < math.inf:
+            raise ValueError("kkt_tolerance must be positive and finite, got %r"
+                             % self.kkt_tolerance)
         if self.cache_bytes < 0:
             raise ValueError("cache_bytes must be >= 0")
 
@@ -235,13 +237,9 @@ def _smo_solve(x, y, caps, gamma, config: SolverConfig):
     if free.any():
         bias = float(np.mean(vu[free]))
     else:
-        hi = vu.max()
-        lo = vl.min()
-        if not np.isfinite(hi):
-            hi = lo
-        if not np.isfinite(lo):
-            lo = hi
-        bias = float((hi + lo) / 2.0)
+        # both classes are present and y'alpha = 0, so neither the up nor the
+        # low set is empty and both extremes are finite
+        bias = float((vu.max() + vl.min()) / 2.0)
     return alpha, bias
 
 

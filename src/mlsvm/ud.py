@@ -19,6 +19,7 @@ the exhaustive search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,11 @@ class UdConfig:
     internal_cv_folds: int = 5
 
     def __post_init__(self):
-        for lo, hi in (self.c_range, self.gamma_range):
-            if not (0 < lo <= hi):
-                raise ValueError("ranges must be positive and ordered")
+        for name, (lo, hi) in (("c_range", self.c_range),
+                               ("gamma_range", self.gamma_range)):
+            if not 0 < lo <= hi < math.inf:
+                raise ValueError("%s must be positive, finite and ordered, got %r"
+                                 % (name, (lo, hi)))
         if self.internal_cv_folds < 2:
             raise ValueError("internal_cv_folds must be >= 2")
 

@@ -123,6 +123,28 @@ class TestImpute:
         assert "non-integral" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("first, where", [
+        ("1,,1", "line 1 column 2 has unparseable value ''"),
+        ("1.5.2,2,1", "line 1 column 1 has unparseable value '1.5.2'"),
+    ], ids=["empty-field", "typo"])
+    def test_malformed_first_row_exits_1(self, first, where, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text(first + "\n3,4,2\n5,6,1\n7,8,2\n")
+        out = tmp_path / "out.csv"
+        rc = main(["impute", "--in", str(src), "--out", str(out),
+                   "--method", "mean"])
+        assert rc == 1
+        assert "error: %s: %s" % (src, where) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_named_label_column(self, tmp_path):
+        src = tmp_path / "named.csv"
+        src.write_text("a,target,b\n1,2,?\n3,1,5\n5,2,7\n")
+        out = tmp_path / "out.csv"
+        assert main(["impute", "--in", str(src), "--out", str(out),
+                     "--method", "mean", "--label-column", "target"]) == 0
+        assert out.read_text() == "a,b,label\n1,6,2\n3,5,1\n5,7,2\n"
+
     def test_rem_report_lists_ridge_counts_in_grid_order(self, noisy_csv,
                                                          tmp_path):
         rep = tmp_path / "rep.txt"
@@ -640,6 +662,40 @@ class TestRobustness:
             assert "error: %s: " % infile in capsys.readouterr().err
         for out in (tmp_path / "out").iterdir():
             assert "nan" not in out.read_text().lower(), out.name
+
+
+BAD_VALUES = [   # id, command, what the error names
+    ("C-inf", TRAIN + ["{clean}", "--method", "svm", "--C", "inf", "--gamma", "1"],
+     "c_plus=inf"),
+    ("gamma-inf", TRAIN + ["{clean}", "--method", "svm", "--C", "1", "--gamma", "inf"],
+     "gamma must be positive and finite, got inf"),
+    ("gamma-nan", TRAIN + ["{clean}", "--method", "wsvm", "--C", "1", "--gamma", "nan"],
+     "gamma must be positive and finite, got nan"),
+    ("kkt-tol-inf", TRAIN + ["{clean}", "--method", "svm", "--kkt-tol", "inf"],
+     "kkt_tolerance must be positive and finite, got inf"),
+    ("c-range-inf", TRAIN + ["{clean}", "--method", "svm", "--c-range", "1,inf"],
+     "c_range must be positive, finite and ordered, got (1.0, inf)"),
+    ("gamma-range-nan", TRAIN + ["{clean}", "--method", "mlwsvm", "--gamma-range",
+                                 "nan,1"], "gamma_range must be positive"),
+    ("evaluate-folds-past-rows",
+     ["evaluate", "--in", "{clean}", "--method", "svm", "--folds", "61",
+      "--out", "{out}/e.txt"], "61 folds for 60 rows"),
+]
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("argv, names", [c[1:] for c in BAD_VALUES],
+                             ids=[c[0] for c in BAD_VALUES])
+    def test_exits_1_naming_the_value_and_writes_nothing(self, argv, names,
+                                                         tmp_path, capsys):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "out").mkdir()
+        paths = {k: str(v) for k, v in robustness_inputs(tmp_path / "in").items()}
+        paths["out"] = str(tmp_path / "out")
+        assert main([tok.format(**paths) for tok in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err, err
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestHelp:

@@ -68,6 +68,95 @@ class TestLoadDelimited:
         with pytest.raises(DataFormatError, match=where + " has non-integral"):
             load_dataset(p, fmt)
 
+    @pytest.mark.parametrize("text, label_column, message", [
+        ("a,b,y\n", -1, "no data rows after header"),
+        ("a,b,y\n\n", "y", "no data rows after header"),
+        ("1,2,1\n", 3, "label column index 3 out of range"),
+        ("1,2,1\n", -4, "label column index -4 out of range"),
+        ("1,2,1\n3,4,abc\n", -1, "line 2 has unparseable label 'abc'"),
+        ("1,2,1\n3,4,?\n", -1, r"line 2 has unparseable label '\?'"),
+        ("1,2,1\nx,4,2\n", -1, "line 2 column 1 has unparseable value 'x'"),
+    ], ids=["header-only", "named-header-only", "index-past-end",
+            "negative-index-past-start", "label-word", "label-missing",
+            "value-word"])
+    def test_error_wording(self, text, label_column, message, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(p, label_column=label_column)
+
+    def test_float_syntax_is_pythons(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1_000, 2.5e1 ,1\n-0,+3,2\n")
+        ds = load_dataset(p)
+        assert ds.features.tolist() == [[1000.0, 25.0], [0.0, 3.0]]
+        assert np.signbit(ds.features[1, 0])
+
+    @pytest.mark.parametrize("first, where", [
+        ("1,,1", "line 1 column 2 has unparseable value ''"),
+        ("1.5.2,2,1", "line 1 column 1 has unparseable value '1.5.2'"),
+        ("1,2,?", r"line 1 has unparseable label '\?'"),
+        ("1,2,nan", "line 1 column 3 has non-finite label 'nan'"),
+    ], ids=["empty-field", "typo", "missing-label", "nan-label"])
+    def test_malformed_first_row_is_not_a_header(self, first, where, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(first + "\n3,4,2\n5,6,1\n")
+        with pytest.raises(DataFormatError, match=where):
+            load_dataset(p)
+
+    def test_bom_before_a_data_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2,1\n3,4,2\n5,?,1\n")
+        ds = load_dataset(p)
+        assert ds.n_rows == 3 and ds.feature_names is None
+        assert ds.features[0].tolist() == [1.0, 2.0]
+        assert ds.missing[2].tolist() == [False, True]
+
+    def test_bom_before_a_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,y\n1,1\n2,2\n")
+        ds = load_dataset(p, label_column="a")
+        assert ds.feature_names == ("y",)
+        assert ds.labels.tolist() == [1, 2]
+
+    def test_numeric_feature_names_still_a_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,2,3,class\n4,5,6,1\n7,8,9,2\n")
+        ds = load_dataset(p)
+        assert ds.feature_names == ("1", "2", "3")
+        assert ds.features.tolist() == [[4, 5, 6], [7, 8, 9]]
+
+    def test_named_label_column_in_the_middle(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y,b\n1,2,?\n3,1,4\n")
+        ds = load_dataset(p, label_column="y")
+        assert ds.feature_names == ("a", "b")
+        assert ds.labels.tolist() == [2, 1]
+        assert ds.missing.tolist() == [[False, True], [False, False]]
+
+    @pytest.mark.parametrize("text, where", [
+        ("1,2,1\n3,inf,2\n4,x,1\n", "line 2 column 2 has non-finite value 'inf'"),
+        ("1,2,1\n3,4,nan\n4,x,1\n", "line 2 column 3 has non-finite label"),
+        ("1,2,1\nx,4,1\n3,4\n", "line 2 column 1 has unparseable value 'x'"),
+        ("1,2,1\n3,4,1.5\n4\n", "line 2 column 3 has non-integral label"),
+        ("1,2,1\nx,4,y\n", "line 2 column 1 has unparseable value 'x'"),
+        ("1,2,1\n3,4\nx,4,1\n", "line 2 has 2 fields, expected 3"),
+    ], ids=["non-finite-before-unparseable", "label-before-unparseable",
+            "value-before-short-row", "label-before-short-row",
+            "value-before-label", "short-row-before-value"])
+    def test_first_fault_in_file_order(self, text, where, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=where):
+            load_dataset(p)
+
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,1\n2,1e19\n")
+        with pytest.raises(DataFormatError,
+                           match="line 2 column 2 has out-of-range label '1e19'"):
+            load_dataset(p)
+
 
 class TestLoadSparse:
     def test_absent_indices_are_zero_not_missing(self, tmp_path):
@@ -90,6 +179,36 @@ class TestLoadSparse:
         with pytest.raises(DataFormatError, match="line 2"):
             load_dataset(p, "sparse")
 
+    @pytest.mark.parametrize("text, n_features, message", [
+        ("1 2:1.0\n1 2:abc\n", None, "line 2 has malformed pair '2:abc'"),
+        ("1 x:1.0\n", None, "line 1 has malformed pair 'x:1.0'"),
+        ("1 1:1 0:2\n", None, "line 1 index 0 is not 1-based"),
+        ("1 1:1\n-1 2:1 2:3\n", None, "line 2 repeats index 2"),
+        ("1 1:1\n-1 4:1\n", 3, "index 4 exceeds n_features=3"),
+        ("x 1:1\n", None, "line 1 has unparseable label 'x'"),
+        ("1 1:inf\n", None, "line 1 index 1 has non-finite value inf"),
+    ], ids=["non-numeric-value", "non-numeric-index", "zero-index",
+            "repeated-index", "index-past-n-features", "label-word",
+            "non-finite-value"])
+    def test_error_wording(self, text, n_features, message, tmp_path):
+        p = tmp_path / "d.sp"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
+            load_dataset(p, "sparse", n_features=n_features)
+
+    def test_first_fault_in_file_order(self, tmp_path):
+        p = tmp_path / "d.sp"
+        p.write_text("1 1:1\n1 2:1e999\n1 x\n")
+        with pytest.raises(DataFormatError, match="line 2 index 2 has non-finite"):
+            load_dataset(p, "sparse")
+
+    def test_bom_before_first_label(self, tmp_path):
+        p = tmp_path / "d.sp"
+        p.write_bytes(b"\xef\xbb\xbf1 1:2\n-1 2:3\n")
+        ds = load_dataset(p, "sparse")
+        assert ds.labels.tolist() == [1, -1]
+        assert ds.features.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+
 
 class TestRoundTrip:
     def test_delimited_round_trip_bit_for_bit(self, tmp_path):
@@ -104,6 +223,20 @@ class TestRoundTrip:
         assert np.array_equal(back.missing, ds.missing)
         obs = ~ds.missing
         assert np.array_equal(back.features[obs], ds.features[obs])
+        assert np.array_equal(back.labels, ds.labels)
+
+    def test_header_round_trip(self, tmp_path):
+        missing = np.array([[False, True], [False, False], [True, False]])
+        ds = Dataset([[0.1, 0.0], [-2.5e-300, 7.0], [0.0, 1e300]], missing,
+                     [3, -1, 3], (3, -1), feature_names=("age", "bp"))
+        p = tmp_path / "out.csv"
+        write_dataset(ds, p)
+        assert p.read_text().splitlines()[0] == "age,bp,label"
+        back = load_dataset(p)
+        assert back.feature_names == ds.feature_names
+        assert back.class_names == ds.class_names
+        assert np.array_equal(back.missing, ds.missing)
+        assert back.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(back.labels, ds.labels)
 
     def test_sparse_round_trip(self, tmp_path):

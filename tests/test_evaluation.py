@@ -84,6 +84,18 @@ class TestStratifiedFolds:
         assert assign.min() >= 0 and assign.max() < 5
         assert assign.size == 47
 
+    @pytest.mark.filterwarnings("ignore:class .* points for .* folds")
+    def test_every_fold_filled_up_to_one_row_each(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            labels = rng.integers(0, int(rng.integers(1, 5)), n)
+            labels[: int(rng.integers(0, n))] = 0      # often one large class
+            k = int(rng.integers(2, n + 1))
+            counts = np.bincount(stratified_folds(labels, k, seed=int(n)),
+                                 minlength=k)
+            assert counts.size == k and counts.min() >= 1, (labels, k)
+
 
 class TestRunCv:
     def test_separable_near_perfect(self):
@@ -120,6 +132,13 @@ class TestRunCv:
                      fw_config=FrameworkConfig(coarsest_max=80, q_dt=300))
         assert rep.mean.gmean >= 0.97
         assert rep.seconds_total() > 0
+
+    @pytest.mark.parametrize("folds", [121, 200])
+    def test_more_folds_than_rows_rejected(self, folds):
+        ds = make_separable_blobs(n=120, d=3, seed=1)
+        with pytest.raises(ValueError, match="%d folds for 120 rows" % folds):
+            run_cv(ds, 1, "svm", imputer="none", folds=folds, seed=0,
+                   ud_config=FAST_UD)
 
     def test_report_format(self):
         ds = make_separable_blobs(n=90, d=3, seed=6)

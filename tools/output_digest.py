@@ -9,21 +9,23 @@ that must not alter results is checked by running this script on the
 parent commit's ``src`` and on the change's.
 
 The inputs are seeded synthetic data drawn here with numpy, so they do not
-depend on the code under test. Covered: the EM and mean imputers (fit and
-transform), ud_search outcomes with their traces, each candidate's entry
-holding its score and the number of folds trained for it (all of them, or
-fewer once it could no longer win; weighted and unweighted, balanced down
-to a one-row minority), multilevel model files with their level tables
-(direct and cluster-mode refinement), the graphs of every level of the
-hierarchy those models are trained on, two approximate k-NN graphs (over
-21,000 points, and over 6,000 integer points, most with more than k
-copies, so that nearly every list ends in a tie broken by index), the CLI
-(``train`` for every method, ``predict`` on imputed rows and, digesting
-the exit code with the output, on the raw ``?``-celled rows, ``impute``,
-``evaluate`` and ``benchmark``), and each
-perfbench workload's trained model and its score op's completed matrix,
-labels and margins (training seed 0, held-out seed 1), using the ops in the
-``perfbench`` directory next to SRC_DIR. The seconds column of a report table is dropped;
+depend on the code under test. Covered: the datasets loaded from a headered
+file whose named label column sits between ``?``-celled features, from a
+sparse file, and from the first of them as ``write_dataset`` writes it; the
+EM and mean imputers (fit and transform), ud_search outcomes with their
+traces, each candidate's entry holding its score and the number of folds
+trained for it (all of them, or fewer once it could no longer win; weighted
+and unweighted, balanced down to a one-row minority), multilevel model files
+with their level tables (direct and cluster-mode refinement), the graphs of
+every level of the hierarchy those models are trained on, two approximate
+k-NN graphs (over 21,000 points, and over 6,000 integer points, most with
+more than k copies, so that nearly every list ends in a tie broken by
+index), the CLI (``train`` for every method, ``predict`` on imputed rows
+and, digesting the exit code with the output, on the raw ``?``-celled rows,
+``impute``, ``evaluate`` and ``benchmark``), and each perfbench workload's
+trained model and its score op's completed matrix, labels and margins
+(training seed 0, held-out seed 1), using the ops in the ``perfbench``
+directory next to SRC_DIR. The seconds column of a report table is dropped;
 everything else is hashed byte for byte. It takes about 50 s on one core.
 """
 
@@ -114,6 +116,26 @@ def write_csv(path, x, mask, y):
 
 
 # -- library outputs --------------------------------------------------------
+
+def loads(m, tmp):
+    x, mask, y = draw(13, 400, 5, 120, missing=0.2, labels=(3, -7))
+    named, sparse = os.path.join(tmp, "named.csv"), os.path.join(tmp, "data.sp")
+    with open(named, "w", encoding="utf-8") as fh, \
+            open(sparse, "w", encoding="utf-8") as sp:
+        fh.write("f0,f1,outcome,f2,f3,f4\n")
+        for row, miss, lab in zip(x.tolist(), mask.tolist(), y.tolist()):
+            cells = ["?" if mi else repr(v) for v, mi in zip(row, miss)]
+            fh.write(",".join(cells[:2] + [str(lab)] + cells[2:]) + "\n")
+            sp.write(" ".join([str(lab)] + ["%d:%r" % (j + 1, v) for j, (v, mi)
+                                            in enumerate(zip(row, miss)) if not mi])
+                     + "\n")
+    loaded = [m.load_dataset(named, label_column="outcome"),
+              m.load_dataset(sparse, "sparse")]
+    m.write_dataset(loaded[0], os.path.join(tmp, "written.csv"))
+    loaded.append(m.load_dataset(os.path.join(tmp, "written.csv")))
+    emit("data.load", sha(*[part for d in loaded for part in (
+        d.features, d.missing, d.labels, d.class_names, d.feature_names)]))
+
 
 def imputers(m):
     train = dataset(m, 1, 600, 6, 300, missing=0.15)
@@ -287,6 +309,7 @@ def main(argv=None) -> int:
                          % (mlsvm.__file__, src))
     warnings.simplefilter("ignore")      # small-class fold warnings are expected
     with tempfile.TemporaryDirectory() as tmp:
+        loads(mlsvm, tmp)
         imputers(mlsvm)
         searches(mlsvm)
         multilevel(mlsvm, tmp)
