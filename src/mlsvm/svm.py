@@ -24,7 +24,7 @@ from mlsvm.imputation import MeanImputer, RemConfig, RemImputer, fit_imputer
 
 _TAU = 1e-12
 _MAX_ITERATIONS = 1_000_000   # SMO steps before giving up on the tolerance
-_PREDICT_BLOCK = 2048         # points per kernel block in decision_values
+_BLOCK_ENTRIES = 1 << 17      # kernel entries per block in decision_values
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,13 @@ class SvmModel:
         return self.sv_features.shape[1]
 
 
-def _rbf_block(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Kernel matrix exp(-gamma ||a_i - b_j||^2), shape (len(a), len(b)).
-
-    Holds at most two matrices of that shape at once: the steps after the
-    product run in place on the distance matrix.
-    """
-    sq_a = np.einsum("ij,ij->i", a, a)
-    sq_b = np.einsum("ij,ij->i", b, b)
-    ab = a @ b.T
-    ab *= 2.0
-    d2 = np.add.outer(sq_a, sq_b)
-    d2 -= ab
-    del ab
-    np.maximum(d2, 0.0, out=d2)
-    d2 *= -gamma
-    return np.exp(d2, out=d2)
+def _rbf_in_place(k: np.ndarray, dot2: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * max(k - dot2, 0)) written over k, where k holds the summed
+    squared norms ||u||^2 + ||v||^2 and dot2 twice the products u.v."""
+    k -= dot2
+    np.maximum(k, 0.0, out=k)
+    k *= -gamma
+    return np.exp(k, out=k)
 
 
 class _RowCache:
@@ -139,9 +130,10 @@ class _RowCache:
 
     The rows live in one buffer allocated per solve, a fixed slot each; a
     missed row takes the next free slot, or the least recently used row's
-    once all are taken. A returned row stays valid until two more rows have
-    been fetched. One buffer instead of one array per row leaves no freed
-    rows behind in the heap when the solve ends.
+    once all are taken. With caching off, two scratch rows are used in turn.
+    A returned row stays valid until two more rows have been fetched. One
+    buffer instead of one array per row leaves no freed rows behind in the
+    heap when the solve ends, and each row is computed in its slot.
     """
 
     def __init__(self, x: np.ndarray, gamma: float, budget_bytes: int):
@@ -149,8 +141,11 @@ class _RowCache:
         self.gamma = gamma
         self.sq = np.einsum("ij,ij->i", x, x)
         n = x.shape[0]
-        slots = min(n, max(2, int(budget_bytes // (8 * max(n, 1))))) if budget_bytes > 0 else 0
-        self._slab = np.empty((slots, n))
+        self._slots = min(n, max(2, int(budget_bytes // (8 * max(n, 1))))) \
+            if budget_bytes > 0 else 0
+        self._slab = np.empty((self._slots or 2, n))
+        self._dot = np.empty(n)
+        self._turn = 0
         self._slot: OrderedDict[int, int] = OrderedDict()   # row -> slot, oldest first
 
     def row(self, i: int) -> np.ndarray:
@@ -158,17 +153,16 @@ class _RowCache:
         if slot is not None:
             self._slot.move_to_end(i)
             return self._slab[slot]
-        out = None
-        if len(self._slab):
-            if len(self._slot) < len(self._slab):
-                slot = len(self._slot)
-            else:
-                _, slot = self._slot.popitem(last=False)
+        if not self._slots:
+            slot = self._turn = 1 - self._turn
+        else:
+            slot = len(self._slot) if len(self._slot) < self._slots \
+                else self._slot.popitem(last=False)[1]
             self._slot[i] = slot
-            out = self._slab[slot]
-        d2 = self.sq + self.sq[i] - 2.0 * (self.x @ self.x[i])
-        np.maximum(d2, 0.0, out=d2)
-        return np.exp(-self.gamma * d2, out=out)
+        np.matmul(self.x, self.x[i], out=self._dot)
+        self._dot *= 2.0
+        k = np.add(self.sq, self.sq[i], out=self._slab[slot])
+        return _rbf_in_place(k, self._dot, self.gamma)
 
 
 def _smo_solve(x, y, caps, gamma, config: SolverConfig):
@@ -271,16 +265,31 @@ def train_svm(view: BinaryView, weights: ClassWeights, kernel: KernelParams,
 
 
 def decision_values(model: SvmModel, points: np.ndarray) -> np.ndarray:
-    """f(x) for each row of points."""
+    """f(x) for each row of points (a non-finite row raises ValueError), in
+    blocks of about _BLOCK_ENTRIES kernel entries: every step runs in place
+    on two block buffers, small enough to stay in cache."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != model.n_features:
         raise ValueError("points must be (n, %d)" % model.n_features)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError("point %d has a non-finite value" % int(np.argmin(finite)))
+    sv = model.sv_features
+    sq_sv = np.einsum("ij,ij->i", sv, sv)
+    sv2_t = np.ascontiguousarray((2.0 * sv).T)     # exact: the product is 2 (a @ sv')
     coef = model.sv_alphas * model.sv_labels
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _PREDICT_BLOCK):
-        stop = min(start + _PREDICT_BLOCK, points.shape[0])
-        k = _rbf_block(points[start:stop], model.sv_features, model.kernel.gamma)
-        out[start:stop] = k @ coef
+    block = max(1, _BLOCK_ENTRIES // max(1, model.n_sv))
+    ab = np.empty((min(block, len(points)), model.n_sv))
+    k = np.empty_like(ab)
+    out = np.empty(len(points))
+    for start in range(0, len(points), block):
+        a = points[start:start + block]
+        sq_a = np.einsum("ij,ij->i", a, a)
+        ab_a, k_a = ab[:len(a)], k[:len(a)]
+        np.matmul(a, sv2_t, out=ab_a)
+        np.add(sq_a[:, None], sq_sv, out=k_a)
+        _rbf_in_place(k_a, ab_a, model.kernel.gamma)
+        np.matmul(k_a, coef, out=out[start:start + len(a)])
     return out + model.bias
 
 

@@ -337,6 +337,16 @@ class TestPredict:
         assert where.format(data=clean_csv) in err
         assert not out.exists() or "nan" not in out.read_text()
 
+    def test_zero_sv_model_writes_the_bias(self, clean_csv, tmp_path):
+        model = tmp_path / "empty.model"
+        model.write_text(MODEL.replace("bias 0", "bias -0.25").replace(
+            "n_sv 1\nsv 1 0.5 0 0 0\n", "n_sv 0\n"))
+        out = tmp_path / "p.txt"
+        assert main(["predict", "--model", str(model), "--in", clean_csv,
+                     "--out", str(out)]) == 0
+        rows = load_dataset(clean_csv).n_rows
+        assert out.read_text().splitlines() == ["-1 -0.25"] * rows
+
 
 def scaled_incomplete(n=400, seed=0):
     """?-celled rows on feature scales 0.02 to 200, 15% of them class 1."""

@@ -338,6 +338,49 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("points, row", [
+        ([[np.nan, 0.0], [np.inf, 0.0]], 0),
+        ([[0.0, 0.0], [1.0, -np.inf], [np.nan, 2.0]], 1),
+    ], ids=["nan-first", "inf-second"])
+    def test_non_finite_point_rejected(self, points, row):
+        model = SvmModel(sv_features=np.array([[0.0, 1.0]]),
+                         sv_labels=np.array([1.0]), sv_alphas=np.array([1.0]),
+                         bias=0.0, kernel=KernelParams(1.0),
+                         weights=ClassWeights(1.0, 1.0))
+        with pytest.raises(ValueError, match="point %d has a non-finite value" % row):
+            predict(model, np.array(points))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_zero_sv_model_margin_is_bias(self, n):
+        model = SvmModel(sv_features=np.zeros((0, 2)), sv_labels=np.zeros(0),
+                         sv_alphas=np.zeros(0), bias=-0.25, kernel=KernelParams(1.0),
+                         weights=ClassWeights(1.0, 1.0))
+        labels, margins = predict(model, np.random.default_rng(0).normal(size=(n, 2)))
+        assert margins.tolist() == [-0.25] * n
+        assert labels.tolist() == [-1.0] * n
+
+    # one SV, a few hundred, and so many that a block is a single row
+    @pytest.mark.parametrize("n_sv", [1, 300, (1 << 16) + 1])
+    def test_block_boundaries_match_oracle(self, n_sv):
+        rng = np.random.default_rng(n_sv)
+        model = SvmModel(sv_features=rng.normal(size=(n_sv, 2)),
+                         sv_labels=np.where(rng.random(n_sv) < 0.5, 1.0, -1.0),
+                         sv_alphas=rng.uniform(0.01, 3.0, n_sv), bias=0.1,
+                         kernel=KernelParams(0.5), weights=ClassWeights(3.0, 3.0))
+        tol = 1e-12 * (model.sv_alphas.sum() + abs(model.bias) + 1.0)
+        coef = model.sv_alphas * model.sv_labels
+        block = max(1, svm_module._BLOCK_ENTRIES // n_sv)
+        for n in sorted({0, 1, block - 1, block, block + 1, 2 * block + 3}):
+            pts = rng.normal(size=(n, 2))
+            labels, margins = predict(model, pts)
+            want = rbf_matrix(pts, model.sv_features, 0.5) @ coef + model.bias
+            assert np.abs(margins - want).max(initial=0.0) <= tol, n
+            assert (labels == np.where(margins > 0, 1.0, -1.0)).all()
+            cut = n // 2 + 1
+            split = np.concatenate([decision_values(model, pts[:cut]),
+                                    decision_values(model, pts[cut:])])
+            assert np.abs(split - margins).max(initial=0.0) <= tol, n
+
 
 class TestWeightedImbalance:
     def test_inverse_size_weights_lift_sensitivity(self):

@@ -25,8 +25,11 @@ and, digesting the exit code with the output, on the raw ``?``-celled rows,
 ``impute``, ``evaluate`` and ``benchmark``), and each perfbench workload's
 trained model and its score op's completed matrix, labels and margins
 (training seed 0, held-out seed 1), using the ops in the ``perfbench``
-directory next to SRC_DIR. The seconds column of a report table is dropped;
-everything else is hashed byte for byte. It takes about 50 s on one core.
+directory next to SRC_DIR. Labels and margins of ``predict`` and of the score
+ops have lines of their own (``.labels``, ``.margins``), so a change that may
+move margins by rounding while keeping every label shows as such. The seconds
+column of a report table is dropped; everything else is hashed byte for byte.
+It takes about 50 s on one core.
 """
 
 import os
@@ -69,6 +72,12 @@ def emit(name: str, digest: str) -> None:
 def read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def predict_columns(text: bytes):
+    """The label column and the margin column of a predict output."""
+    rows = [ln.split(b" ") for ln in text.splitlines()]
+    return b"\n".join(r[0] for r in rows), b"\n".join(r[1] for r in rows)
 
 
 def drop_column(text: str, header: str) -> str:
@@ -252,14 +261,17 @@ def cli(m, tmp):
             emit("cli.train.%s.report" % name, sha(text))
         run_cli(m, ["predict", "--in", path("rem.csv"), "--model", model,
                     "--out", path(name + ".pred")])
-        emit("cli.predict.%s" % name, sha(read_bytes(path(name + ".pred"))))
+        labels, margins = predict_columns(read_bytes(path(name + ".pred")))
+        emit("cli.predict.%s.labels" % name, sha(labels))
+        emit("cli.predict.%s.margins" % name, sha(margins))
         # raw ?-celled rows: a model that cannot take them exits 1, writing nothing
         raw = path(name + ".raw.pred")
         with contextlib.redirect_stderr(io.StringIO()):
             rc = m.cli.main(["predict", "--in", path("noisy.csv"), "--model", model,
                              "--out", raw])
-        emit("cli.predict.%s.raw" % name,
-             sha(rc, read_bytes(raw) if os.path.exists(raw) else b""))
+        labels, margins = predict_columns(read_bytes(raw) if os.path.exists(raw) else b"")
+        emit("cli.predict.%s.raw.labels" % name, sha(rc, labels))
+        emit("cli.predict.%s.raw.margins" % name, sha(rc, margins))
 
     for name, argv in (
             ("mlwsvm", ["--in", path("noisy.csv"), "--method", "mlwsvm",
@@ -293,7 +305,9 @@ def perfbench(m, root, tmp):
         m.save_any_model(trained.model, path)
         emit("perfbench.%s.model" % name, sha(read_bytes(path)))
         completed, labels, margins = bench.score_op(m, inputs, trained)
-        emit("perfbench.%s.score" % name, sha(completed.features, labels, margins))
+        emit("perfbench.%s.score.completed" % name, sha(completed.features))
+        emit("perfbench.%s.score.labels" % name, sha(labels))
+        emit("perfbench.%s.score.margins" % name, sha(margins))
 
 
 def main(argv=None) -> int:
