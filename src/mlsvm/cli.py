@@ -86,7 +86,9 @@ def _add_method_flags(p):
     p.add_argument("--kkt-tol", dest="kkt_tolerance", metavar="KKT_TOL",
                    type=float)
     p.add_argument("--cache-mb", dest="cache_bytes", metavar="CACHE_MB",
-                   type=_megabytes, help="kernel cache budget")
+                   type=_megabytes,
+                   help="kernel cache budget; 0 keeps only the two kernel rows "
+                        "of the current SMO step")
 
 
 def _add_imputer_flags(p):
@@ -242,8 +244,9 @@ def cmd_train(args) -> int:
         raise ValueError("--C/--gamma are only for flat methods; multilevel "
                          "training selects hyperparameters internally")
     kwargs = _train_kwargs(args)    # a bad config value fails before any work
+    rem_config = _config(RemConfig, args)
     pipe, data = _about(args.infile, fit_pipeline, _load(args), args.imputer,
-                        _config(RemConfig, args))
+                        rem_config)
     view = binary_view(data, default_positive_class(data, args.positive_class))
     if args.c_fixed is None:
         pipe.model, report = _about(args.infile, lambda: train_method(

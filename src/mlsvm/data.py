@@ -1,14 +1,15 @@
 """Dataset model: file I/O, z-score normalization, missing-value injection.
 
-The missingness mask is the single source of truth: masked cells hold NaN
-sentinels so that any unguarded arithmetic surfaces immediately, and every
-fitting routine excludes masked cells explicitly.
+A missing cell is NaN and a NaN is a missing cell: a Dataset derives its
+mask from its features, so the two cannot disagree, and refuses infinities.
+Unguarded arithmetic on a missing cell surfaces as NaN; every fitting
+routine excludes masked cells explicitly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,30 +20,29 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Dense feature matrix with per-cell missingness mask and integer labels.
+    """Dense feature matrix with integer labels; NaN marks a missing cell.
 
-    features : (n_rows, n_features) float64, NaN where missing is True
-    missing  : (n_rows, n_features) bool
+    features : (n_rows, n_features) float64, NaN where missing, no infinities
     labels   : (n_rows,) int
     class_names : distinct label values, in order of first appearance
     feature_names : optional column names
+    missing  : (n_rows, n_features) bool, np.isnan(features) (derived, read-only)
     """
 
     features: np.ndarray
-    missing: np.ndarray
     labels: np.ndarray
     class_names: tuple
     feature_names: tuple | None = None
+    missing: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         features = np.ascontiguousarray(self.features, dtype=np.float64)
-        missing = np.ascontiguousarray(self.missing, dtype=bool)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
-        if missing.shape != features.shape:
-            raise ValueError("missing mask shape %s != features shape %s"
-                             % (missing.shape, features.shape))
+        if labels.ndim != 1:        # a mask passed where the labels go
+            raise ValueError("labels must be 1-d; missing cells are now NaN in "
+                             "features, not a mask argument")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels length %d != row count %d"
                              % (labels.shape[0], features.shape[0]))
@@ -50,9 +50,11 @@ class Dataset:
         names = tuple(self.class_names)
         if set(names) != present or len(names) != len(present):
             raise ValueError("class_names must list every label value exactly once")
-        if missing.any():
-            features = features.copy()
-            features[missing] = np.nan
+        if np.isinf(features).any():
+            r, c = np.argwhere(np.isinf(features))[0]
+            raise ValueError("row %d column %d is %r; a cell is finite, or NaN when "
+                             "missing" % (r, c, float(features[r, c])))
+        missing = np.isnan(features)
         for arr in (features, missing, labels):
             arr.flags.writeable = False
         object.__setattr__(self, "features", features)
@@ -207,8 +209,7 @@ def _load_delimited(path, lines, label_column, missing_token, delimiter):
         labels.append(label)
         features.append(values)
     features, labels = np.array(features), np.array(labels, dtype=np.int64)
-    return Dataset(features, np.isnan(features), labels, _class_order(labels),
-                   feature_names)
+    return Dataset(features, labels, _class_order(labels), feature_names)
 
 
 def _load_sparse(path, lines, n_features):
@@ -245,8 +246,7 @@ def _load_sparse(path, lines, n_features):
         raise DataFormatError("%s: index %d exceeds n_features=%d" % (path, max_idx, n_f))
     features = np.zeros((len(lines), n_f))
     features[rows, cols] = values
-    return Dataset(features, np.zeros(features.shape, dtype=bool), labels,
-                   _class_order(np.array(labels)))
+    return Dataset(features, labels, _class_order(np.array(labels)))
 
 
 def _class_order(labels: np.ndarray) -> tuple:
@@ -324,7 +324,7 @@ def apply_normalization(data: Dataset, stats: NormalizationStats) -> Dataset:
     x = (data.features - stats.mean) / stats.std
     x[:, stats.constant] = 0.0
     x[data.missing] = np.nan
-    return Dataset(x, data.missing, data.labels, data.class_names, data.feature_names)
+    return Dataset(x, data.labels, data.class_names, data.feature_names)
 
 
 def inject_missing(data: Dataset, rate: float, seed: int) -> Dataset:
@@ -341,11 +341,9 @@ def inject_missing(data: Dataset, rate: float, seed: int) -> Dataset:
         return data
     rng = np.random.default_rng(seed)
     flat = rng.choice(size, size=count, replace=False)
-    mask = data.missing.copy()
-    mask.flags.writeable = True
-    mask[np.unravel_index(flat, mask.shape)] = True
-    return Dataset(data.features, mask, data.labels, data.class_names,
-                   data.feature_names)
+    x = data.features.copy()
+    x[np.unravel_index(flat, x.shape)] = np.nan
+    return Dataset(x, data.labels, data.class_names, data.feature_names)
 
 
 def binary_view(data: Dataset, positive_class: int) -> BinaryView:
@@ -363,5 +361,5 @@ def take_rows(data: Dataset, rows) -> Dataset:
     """Dataset restricted to the given rows (class_names recomputed)."""
     rows = np.asarray(rows, dtype=np.int64)
     labels = data.labels[rows]
-    return Dataset(data.features[rows], data.missing[rows], labels,
-                   _class_order(labels), data.feature_names)
+    return Dataset(data.features[rows], labels, _class_order(labels),
+                   data.feature_names)

@@ -12,6 +12,7 @@ Iteration stops when the imputed cells stagnate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,12 @@ class RemConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stagnation_tol <= 0:
-            raise ValueError("stagnation_tol must be positive")
-        if self.regularization is not None and not self.regularization >= 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0 < self.stagnation_tol < math.inf:
+            raise ValueError("stagnation_tol must be positive and finite, got %r"
+                             % self.stagnation_tol)
+        if self.regularization is not None and not 0 <= self.regularization < math.inf:
+            raise ValueError("regularization must be nonnegative and finite, got %r"
+                             % self.regularization)
 
 
 @dataclass
@@ -46,8 +49,7 @@ class RemDiagnostics:
 
 def _completed(data: Dataset, x: np.ndarray) -> Dataset:
     """data with its features replaced by the completed matrix x."""
-    return Dataset(x, np.zeros_like(data.missing), data.labels, data.class_names,
-                   data.feature_names)
+    return Dataset(x, data.labels, data.class_names, data.feature_names)
 
 
 class MeanImputer:

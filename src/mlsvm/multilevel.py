@@ -300,8 +300,6 @@ def refine_level(view: BinaryView, hierarchy: Hierarchy, level: int,
     k_total = int(np.ceil(data_train.size / config.q_dt))
     k_pos = max(1, round(k_total * pos_dt.size / data_train.size))
     k_neg = max(1, k_total - k_pos)
-    k_pos = min(k_pos, pos_dt.size)
-    k_neg = min(k_neg, neg_dt.size)
     cen_pos, asg_pos = kmeans(view.base.features[pos_dt], k_pos,
                               child_rng(config.seed, "kmeans", level, 0))
     cen_neg, asg_neg = kmeans(view.base.features[neg_dt], k_neg,

@@ -126,14 +126,15 @@ def _rbf_in_place(k: np.ndarray, dot2: np.ndarray, gamma: float) -> np.ndarray:
 
 
 class _RowCache:
-    """LRU cache of kernel rows under a byte budget (0 disables caching).
+    """LRU cache of kernel rows under a byte budget, with room for two at least.
 
     The rows live in one buffer allocated per solve, a fixed slot each; a
     missed row takes the next free slot, or the least recently used row's
-    once all are taken. With caching off, two scratch rows are used in turn.
-    A returned row stays valid until two more rows have been fetched. One
-    buffer instead of one array per row leaves no freed rows behind in the
-    heap when the solve ends, and each row is computed in its slot.
+    once all are taken. A returned row stays valid until two more distinct
+    rows have been fetched, so the two slots of budget 0 hold both rows of
+    an SMO step. One buffer instead of one array per row leaves no freed
+    rows behind in the heap when the solve ends, and each row is computed
+    in its slot.
     """
 
     def __init__(self, x: np.ndarray, gamma: float, budget_bytes: int):
@@ -141,11 +142,9 @@ class _RowCache:
         self.gamma = gamma
         self.sq = np.einsum("ij,ij->i", x, x)
         n = x.shape[0]
-        self._slots = min(n, max(2, int(budget_bytes // (8 * max(n, 1))))) \
-            if budget_bytes > 0 else 0
-        self._slab = np.empty((self._slots or 2, n))
+        self._slots = min(n, max(2, int(budget_bytes // (8 * max(n, 1)))))
+        self._slab = np.empty((self._slots, n))
         self._dot = np.empty(n)
-        self._turn = 0
         self._slot: OrderedDict[int, int] = OrderedDict()   # row -> slot, oldest first
 
     def row(self, i: int) -> np.ndarray:
@@ -153,12 +152,9 @@ class _RowCache:
         if slot is not None:
             self._slot.move_to_end(i)
             return self._slab[slot]
-        if not self._slots:
-            slot = self._turn = 1 - self._turn
-        else:
-            slot = len(self._slot) if len(self._slot) < self._slots \
-                else self._slot.popitem(last=False)[1]
-            self._slot[i] = slot
+        slot = len(self._slot) if len(self._slot) < self._slots \
+            else self._slot.popitem(last=False)[1]
+        self._slot[i] = slot
         np.matmul(self.x, self.x[i], out=self._dot)
         self._dot *= 2.0
         k = np.add(self.sq, self.sq[i], out=self._slab[slot])

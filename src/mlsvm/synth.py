@@ -11,7 +11,7 @@ def _finish(x, labels, rng) -> Dataset:
     order = rng.permutation(x.shape[0])
     x, labels = x[order], labels[order]
     names = tuple(dict.fromkeys(int(v) for v in labels))
-    return Dataset(x, np.zeros(x.shape, dtype=bool), labels, names)
+    return Dataset(x, labels, names)
 
 
 def make_twonorm(n: int = 7400, d: int = 20, seed: int = 0) -> Dataset:
@@ -68,4 +68,4 @@ def make_correlated_gaussian(n: int = 1000, p: int = 10, rho: float = 0.8,
     chol = np.linalg.cholesky(cov)
     x = rng.standard_normal((n, p)) @ chol.T
     labels = np.ones(n, dtype=np.int64)
-    return Dataset(x, np.zeros_like(x, dtype=bool), labels, (1,))
+    return Dataset(x, labels, (1,))

@@ -43,8 +43,7 @@ def random_instance(rng):
     cm = float(rng.uniform(0.5, 20.0))
     gamma = float(rng.uniform(0.2, 2.0))
     labels = np.where(y > 0, 1, 2).astype(int)
-    ds = Dataset(x, np.zeros_like(x, dtype=bool), labels,
-                 tuple(dict.fromkeys(labels.tolist())))
+    ds = Dataset(x, labels, tuple(dict.fromkeys(labels.tolist())))
     return ds, x, y, cp, cm, gamma
 
 
@@ -102,7 +101,7 @@ def test_criterion_04_default_search_budget_is_13():
     rng = np.random.default_rng(1004)
     x = np.vstack([rng.normal(size=(75, 3)) + 0.9, rng.normal(size=(75, 3)) - 0.9])
     labels = np.array([1] * 75 + [2] * 75)
-    ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
+    ds = Dataset(x, labels, (1, 2))
     out = ud_search(binary_view(ds, 1), np.arange(150), False, UdConfig(), seed=0)
     ok = out.evaluations == 13 and len(out.trace) == 13
     record(4, ok, "default nested design scores exactly 13 distinct candidates",
@@ -145,7 +144,7 @@ def test_criterion_05_coarsening_structure_on_100_graphs(monkeypatch):
     for trial in range(100):
         n = int(rng.integers(500, 5001))
         x = rng.normal(size=(n, 5))
-        ds = Dataset(x, np.zeros_like(x, dtype=bool), np.ones(n, dtype=int), (1,))
+        ds = Dataset(x, np.ones(n, dtype=int), (1,))
         graph = build_knn_graph(ds, np.arange(n), cfg, seed=trial)
         res = coarsen_class(graph, 0.5, child_rng(trial, "acc5"))
         sel_mask = np.zeros(n, dtype=bool)
@@ -264,7 +263,7 @@ def test_criterion_10_no_train_test_leakage():
     test_rows = np.flatnonzero(assign == 0)
     feats = data.features.copy()
     feats[test_rows] = feats[test_rows] * 3.7 + 100.0
-    corrupted = Dataset(feats, data.missing, data.labels, data.class_names)
+    corrupted = Dataset(feats, data.labels, data.class_names)
 
     s1 = fit_normalization(data, train_rows)
     s2 = fit_normalization(corrupted, train_rows)

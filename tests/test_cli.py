@@ -355,7 +355,7 @@ def scaled_incomplete(n=400, seed=0):
     x = rng.standard_normal((n, 4)) + np.where(y[:, None] == 1, 1.0, -0.2)
     mask = rng.random(x.shape) < 0.1
     mask[mask.all(axis=1), 0] = False
-    return Dataset(x * [0.02, 1.0, 20.0, 200.0], mask, y,
+    return Dataset(np.where(mask, np.nan, x * [0.02, 1.0, 20.0, 200.0]), y,
                    tuple(dict.fromkeys(y.tolist())))
 
 
@@ -438,8 +438,7 @@ class TestBenchmark:
         rng = np.random.default_rng(3)
         x = np.vstack([rng.normal(size=(3, 2)) + 6, rng.normal(size=(27, 2)) - 6])
         from mlsvm.data import Dataset
-        ds = Dataset(x, np.zeros_like(x, dtype=bool),
-                     np.array([1] * 3 + [2] * 27), (1, 2))
+        ds = Dataset(x, np.array([1] * 3 + [2] * 27), (1, 2))
         p = tmp_path / "tiny.csv"
         write_dataset(ds, p)
         with pytest.warns(UserWarning):
@@ -687,6 +686,15 @@ BAD_VALUES = [   # id, command, what the error names
      "c_range must be positive, finite and ordered, got (1.0, inf)"),
     ("gamma-range-nan", TRAIN + ["{clean}", "--method", "mlwsvm", "--gamma-range",
                                  "nan,1"], "gamma_range must be positive"),
+    ("regularization-inf", TRAIN + ["{clean}", "--method", "svm", "--regularization",
+                                    "inf"], "regularization must be nonnegative and "
+                                            "finite, got inf"),
+    ("stagnation-tol-nan", TRAIN + ["{clean}", "--method", "svm", "--stagnation-tol",
+                                    "nan"], "stagnation_tol must be positive and "
+                                            "finite, got nan"),
+    ("impute-stagnation-tol-inf",
+     ["impute", "--in", "{clean}", "--out", "{out}/i.csv", "--stagnation-tol", "inf"],
+     "stagnation_tol must be positive and finite, got inf"),
     ("evaluate-folds-past-rows",
      ["evaluate", "--in", "{clean}", "--method", "svm", "--folds", "61",
       "--out", "{out}/e.txt"], "61 folds for 60 rows"),

@@ -4,15 +4,18 @@ import pytest
 from mlsvm.data import (DataFormatError, Dataset, apply_normalization,
                         binary_view, fit_normalization, inject_missing,
                         load_dataset, take_rows, write_dataset)
+from mlsvm.imputation import MeanImputer, RemImputer
+from mlsvm.knn import KnnConfig, build_knn_graph
+from mlsvm.svm import fit_pipeline
 
 
 def make(features, labels, missing=None):
     features = np.asarray(features, dtype=float)
-    if missing is None:
-        missing = np.zeros_like(features, dtype=bool)
+    if missing is not None:
+        features = np.where(missing, np.nan, features)
     labels = np.asarray(labels)
     names = tuple(dict.fromkeys(int(v) for v in labels))
-    return Dataset(features, missing, labels, names)
+    return Dataset(features, labels, names)
 
 
 class TestLoadDelimited:
@@ -216,7 +219,8 @@ class TestRoundTrip:
         feats = rng.normal(size=(20, 4)) * 1e3
         missing = rng.random((20, 4)) < 0.2
         labels = rng.integers(0, 3, size=20)
-        ds = Dataset(feats, missing, labels, tuple(dict.fromkeys(labels.tolist())))
+        ds = Dataset(np.where(missing, np.nan, feats), labels,
+                     tuple(dict.fromkeys(labels.tolist())))
         p = tmp_path / "out.csv"
         write_dataset(ds, p)
         back = load_dataset(p)
@@ -226,8 +230,7 @@ class TestRoundTrip:
         assert np.array_equal(back.labels, ds.labels)
 
     def test_header_round_trip(self, tmp_path):
-        missing = np.array([[False, True], [False, False], [True, False]])
-        ds = Dataset([[0.1, 0.0], [-2.5e-300, 7.0], [0.0, 1e300]], missing,
+        ds = Dataset([[0.1, np.nan], [-2.5e-300, 7.0], [np.nan, 1e300]],
                      [3, -1, 3], (3, -1), feature_names=("age", "bp"))
         p = tmp_path / "out.csv"
         write_dataset(ds, p)
@@ -361,3 +364,50 @@ def test_dataset_is_immutable():
     ds = make([[1.0, 2.0]], [1])
     with pytest.raises(ValueError):
         ds.features[0, 0] = 9.0
+
+
+class TestNanIsMissing:
+    """A NaN cell is a missing cell: the mask is derived, never given."""
+
+    X = [[1.0, 2.0, 0.5], [np.nan, 3.0, 1.5], [2.0, 1.0, -0.5], [0.0, 0.5, 2.5],
+         [1.5, np.nan, 1.0], [-1.0, 2.5, 0.0]]
+    Y = [1, 1, 2, 2, 1, 2]
+
+    def test_nan_cell_is_missing(self):
+        ds = make(self.X, self.Y)
+        assert ds.has_missing()
+        assert np.argwhere(ds.missing).tolist() == [[1, 0], [4, 1]]
+        with pytest.raises(ValueError):
+            ds.missing[0, 0] = True
+
+    def test_imputers_complete_the_cell(self):
+        ds = make(self.X, self.Y)
+        observed = ~ds.missing
+        rem = RemImputer().fit(ds)
+        mean = MeanImputer().fit(ds)
+        for done in (rem.completed_, rem.transform(ds), mean.transform(ds)):
+            assert not done.has_missing() and np.isfinite(done.features).all()
+            assert np.array_equal(done.features[observed], ds.features[observed])
+        assert np.isfinite(rem.mean_).all() and np.isfinite(mean.mean_).all()
+
+    @pytest.mark.parametrize("imputer", ["rem", "mean"])
+    def test_fit_pipeline_completes_the_cell(self, imputer):
+        _, done = fit_pipeline(make(self.X, self.Y), imputer)
+        assert not done.has_missing() and np.isfinite(done.features).all()
+
+    def test_knn_graph_refuses_the_cell(self):
+        with pytest.raises(ValueError, match="rows contain missing cells"):
+            build_knn_graph(make(self.X, self.Y), np.arange(6), KnnConfig(k=2))
+
+    @pytest.mark.parametrize("value, text", [(np.inf, "inf"), (-np.inf, "-inf")])
+    def test_infinity_names_its_cell(self, value, text):
+        x = np.zeros((4, 3))
+        x[2, 1] = value
+        x[3, 2] = np.inf
+        with pytest.raises(ValueError, match="row 2 column 1 is %s;" % text):
+            make(x, [1, 1, 1, 1])
+
+    def test_old_form_with_a_mask_says_missing_cells_are_nan(self):
+        x = np.array(self.X)
+        with pytest.raises(ValueError, match="missing cells are now NaN in features"):
+            Dataset(x, np.isnan(x), np.array(self.Y), (1, 2))

@@ -153,7 +153,7 @@ class TestLeakage:
     def corrupt_rows(self, ds, rows):
         feats = ds.features.copy()
         feats[rows] = feats[rows] + 1e9
-        return Dataset(feats, ds.missing, ds.labels, ds.class_names)
+        return Dataset(feats, ds.labels, ds.class_names)
 
     def test_normalization_ignores_test_rows(self):
         ds = make_separable_blobs(n=100, d=4, seed=7)
@@ -199,7 +199,7 @@ class TestOneAgainstAll:
             labels.extend([cls] * 30)
         x = np.vstack(feats)
         labels = np.array(labels)
-        return Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2, 3, 4, 5))
+        return Dataset(x, labels, (1, 2, 3, 4, 5))
 
     def test_two_class_symmetry(self):
         ds = make_separable_blobs(n=100, d=3, separation=8.0, seed=10)
@@ -271,7 +271,7 @@ class TestBenchmark:
 def test_default_positive_class_is_minority():
     x = np.zeros((10, 1))
     labels = np.array([1] * 7 + [2] * 3)
-    ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
+    ds = Dataset(x, labels, (1, 2))
     assert default_positive_class(ds) == 2
     assert default_positive_class(ds, 1) == 1
 

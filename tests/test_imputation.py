@@ -11,10 +11,10 @@ from oracles import covariance
 
 def make(features, missing=None):
     features = np.asarray(features, dtype=float)
-    if missing is None:
-        missing = np.isnan(features)
+    if missing is not None:
+        features = np.where(missing, np.nan, features)
     labels = np.ones(features.shape[0], dtype=int)
-    return Dataset(features, missing, labels, (1,))
+    return Dataset(features, labels, (1,))
 
 
 class TestMeanImpute:
@@ -106,8 +106,8 @@ class TestRemImpute:
         noisy = inject_missing(truth, 0.15, seed=12)
         _, out = fit_imputer("rem", noisy)
         perm = np.random.default_rng(13).permutation(40)
-        shuffled = Dataset(noisy.features[perm], noisy.missing[perm],
-                           noisy.labels[perm], noisy.class_names)
+        shuffled = Dataset(noisy.features[perm], noisy.labels[perm],
+                           noisy.class_names)
         _, out_p = fit_imputer("rem", shuffled)
         assert np.allclose(out_p.features, out.features[perm], atol=1e-12)
 

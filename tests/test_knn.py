@@ -16,8 +16,7 @@ def set_forest(monkeypatch, n_trees, leaf_size, refine_iters):
 
 def points_dataset(x):
     x = np.asarray(x, dtype=float)
-    return Dataset(x, np.zeros_like(x, dtype=bool),
-                   np.ones(x.shape[0], dtype=int), (1,))
+    return Dataset(x, np.ones(x.shape[0], dtype=int), (1,))
 
 
 def integer_points(name):
@@ -250,8 +249,8 @@ class TestClampAndErrors:
             build_knn_graph(ds, [], KnnConfig(k=1))
 
     def test_missing_cells_rejected(self):
-        x = np.array([[1.0], [2.0]])
-        ds = Dataset(x, np.array([[True], [False]]), np.ones(2, dtype=int), (1,))
+        x = np.array([[np.nan], [2.0]])
+        ds = Dataset(x, np.ones(2, dtype=int), (1,))
         with pytest.raises(ValueError, match="missing"):
             build_knn_graph(ds, np.arange(2), KnnConfig(k=1))
 

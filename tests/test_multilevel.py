@@ -76,8 +76,7 @@ class TestCoarsenClass:
         for trial in range(5):
             n = int(rng.integers(100, 400))
             x = rng.normal(size=(n, 4))
-            ds = Dataset(x, np.zeros_like(x, dtype=bool),
-                         np.ones(n, dtype=int), (1,))
+            ds = Dataset(x, np.ones(n, dtype=int), (1,))
             g = build_knn_graph(ds, np.arange(n), KnnConfig(k=6, mode="exact"))
             res = coarsen_class(g, 0.5, child_rng(4, "t", trial))
             assert res.selected.size >= 0.5 * n
@@ -180,7 +179,7 @@ class TestHierarchy:
     def test_tiny_class_rejected(self):
         x = np.random.default_rng(5).normal(size=(10, 2))
         labels = np.array([1] + [2] * 9)
-        ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
+        ds = Dataset(x, labels, (1, 2))
         with pytest.raises(ValueError, match="at least 2"):
             build_hierarchy(binary_view(ds, 1))
 
@@ -213,7 +212,7 @@ class TestRefinement:
                        rng.normal(size=(n - half, 3)) - overlap])
         labels = np.concatenate([np.ones(half, dtype=int),
                                  2 * np.ones(n - half, dtype=int)])
-        ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
+        ds = Dataset(x, labels, (1, 2))
         view = binary_view(ds, 1)
         fw = FrameworkConfig(coarsest_max=coarsest_max, q_dt=q_dt, seed=seed)
         h = build_hierarchy(view, KnnConfig(k=5), fw)
@@ -241,7 +240,7 @@ class TestRefinement:
         x = np.vstack([rng.normal(size=(450, 3)) + 0.6,
                        rng.normal(size=(450, 3)) - 0.6])
         labels = np.repeat([1, 2], 450)
-        ds = Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
+        ds = Dataset(x, labels, (1, 2))
         view = binary_view(ds, 1)
         fw = FrameworkConfig(coarsest_max=60, q_dt=80, seed=7)
         h = build_hierarchy(view, KnnConfig(k=5), fw)
@@ -302,7 +301,7 @@ class TestTrainMultilevel:
         labels = np.concatenate([np.ones(n // 2, dtype=int),
                                  2 * np.ones(n // 2, dtype=int)])
         order = rng.permutation(n)
-        ds = Dataset(x[order], np.zeros((n, 6), dtype=bool), labels[order], (1, 2))
+        ds = Dataset(x[order], labels[order], (1, 2))
         holdout = np.arange(0, n, 5)
         train = np.setdiff1d(np.arange(n), holdout)
         from mlsvm.data import take_rows

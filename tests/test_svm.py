@@ -16,7 +16,7 @@ def dataset_from(x, y):
     x = np.asarray(x, dtype=float)
     labels = np.where(np.asarray(y) > 0, 1, 2).astype(int)
     names = tuple(dict.fromkeys(labels.tolist()))
-    return Dataset(x, np.zeros_like(x, dtype=bool), labels, names)
+    return Dataset(x, labels, names)
 
 
 def random_instance(rng, n_max=12):
@@ -173,7 +173,7 @@ class TestModelInvariants:
 
     def test_single_class_rejected(self):
         ds = dataset_from([[0.0], [1.0]], [1, 1])
-        ds = Dataset(ds.features, ds.missing, np.array([1, 1]), (1,))
+        ds = Dataset(ds.features, np.array([1, 1]), (1,))
         view = type(binary_view(ds, 1))(base=ds, positive_class=1,
                                         rows_positive=np.array([0, 1]),
                                         rows_negative=np.array([], dtype=int))
@@ -182,7 +182,7 @@ class TestModelInvariants:
 
     def test_non_finite_rejected(self):
         x = np.array([[0.0], [np.nan]])
-        ds = Dataset(x, np.array([[False], [True]]), np.array([1, 2]), (1, 2))
+        ds = Dataset(x, np.array([1, 2]), (1, 2))
         view = binary_view(ds, 1)
         with pytest.raises(ValueError, match="non-finite"):
             train_svm(view, ClassWeights(1.0, 1.0), KernelParams(1.0))
@@ -426,8 +426,8 @@ class TestModelFile:
         ("rem", None), ("rem", 0.1), ("mean", None), ("none", None)])
     def test_pipeline_round_trip(self, imputer, regularization, tmp_path):
         ds = make_separable_blobs(n=120, d=4, seed=3)
-        scaled = Dataset(ds.features * [0.02, 1.0, 20.0, 200.0], ds.missing,
-                         ds.labels, ds.class_names)
+        scaled = Dataset(ds.features * [0.02, 1.0, 20.0, 200.0], ds.labels,
+                         ds.class_names)
         train, test = take_rows(scaled, range(80)), take_rows(scaled, range(80, 120))
         if imputer != "none":
             train = inject_missing(train, 0.1, seed=1)

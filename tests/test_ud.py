@@ -17,7 +17,7 @@ def overlapping_blobs(n=200, seed=0, n_pos=None):
     labels = np.concatenate([np.ones(half, dtype=int),
                              2 * np.ones(n - half, dtype=int)])
     from mlsvm.data import Dataset
-    return Dataset(x, np.zeros_like(x, dtype=bool), labels, (1, 2))
+    return Dataset(x, labels, (1, 2))
 
 
 def cv_gmean(view, rows, c, gamma, folds, seed, weights_mode=False):

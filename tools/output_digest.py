@@ -42,6 +42,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
+import inspect  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -112,9 +113,17 @@ def draw(seed, n, d, n_pos, shift=1.0, rho=0.6, missing=0.0, labels=(1, 2)):
     return np.where(mask, np.nan, x), mask, y
 
 
+def make_dataset(m, x, y, names):
+    """m.Dataset of features x, NaN where missing. A constructor that still
+    takes the missing mask as its second argument is given np.isnan(x)."""
+    if "missing" in inspect.signature(m.Dataset).parameters:
+        return m.Dataset(x, np.isnan(x), y, names)
+    return m.Dataset(x, y, names)
+
+
 def dataset(m, seed, n, d, n_pos, **kw):
-    x, mask, y = draw(seed, n, d, n_pos, **kw)
-    return m.Dataset(x, mask, y, tuple(dict.fromkeys(y.tolist())))
+    x, _, y = draw(seed, n, d, n_pos, **kw)
+    return make_dataset(m, x, y, tuple(dict.fromkeys(y.tolist())))
 
 
 def write_csv(path, x, mask, y):
@@ -200,7 +209,7 @@ def multilevel(m, tmp):
 
 def knn_graph(m):
     x, _, _ = draw(8, 21_000, 5, 10_500, rho=0.0)
-    data = m.Dataset(x, np.zeros(x.shape, dtype=bool), np.ones(x.shape[0], dtype=int), (1,))
+    data = make_dataset(m, x, np.ones(x.shape[0], dtype=int), (1,))
     g = m.build_knn_graph(data, np.arange(x.shape[0]),
                           m.KnnConfig(k=10, mode="approximate"), seed=5)
     emit("knn.approximate.n=21000",
@@ -210,7 +219,7 @@ def knn_graph(m):
     # ends in a tie that the lower index must win
     x, _, _ = draw(12, 6_000, 3, 3_000, rho=0.0)
     x = np.round(x)
-    data = m.Dataset(x, np.zeros(x.shape, dtype=bool), np.ones(x.shape[0], dtype=int), (1,))
+    data = make_dataset(m, x, np.ones(x.shape[0], dtype=int), (1,))
     g = m.build_knn_graph(data, np.arange(x.shape[0]),
                           m.KnnConfig(k=10, mode="approximate"), seed=6)
     emit("knn.approximate.duplicated.n=6000",
